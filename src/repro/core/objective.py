@@ -44,6 +44,11 @@ REFRESH_INTERVAL = 256
 REBIND_WARN_FLOOR = 8
 
 
+def layout_count(matrix):
+    """Layouts in an (N, M) matrix (one) or a (B, N, M) stack (B)."""
+    return len(matrix) if np.ndim(matrix) == 3 else 1
+
+
 class ObjectiveEvaluator:
     """Bound evaluator of µ_ij, µ_j and the minimax objective.
 
@@ -102,10 +107,14 @@ class ObjectiveEvaluator:
     # ------------------------------------------------------------------
 
     def utilization_matrix(self, matrix):
-        """µ_ij for a raw (N, M) layout matrix."""
-        self.evaluations += 1
-        self.full_evaluations += 1
-        self._m_full.inc()
+        """µ_ij for a raw (N, M) layout matrix or a (B, N, M) stack.
+
+        A stack counts as B full evaluations.
+        """
+        count = layout_count(matrix)
+        self.evaluations += count
+        self.full_evaluations += count
+        self._m_full.inc(count)
         return estimate_utilization_matrix(
             self.problem.workloads,
             matrix,
@@ -115,8 +124,8 @@ class ObjectiveEvaluator:
         )
 
     def utilizations(self, matrix):
-        """Per-target utilizations µ_j (shape (M,))."""
-        return self.utilization_matrix(matrix).sum(axis=0)
+        """Per-target utilizations µ_j: shape (M,), or (B, M) for a stack."""
+        return self.utilization_matrix(matrix).sum(axis=-2)
 
     def objective(self, matrix):
         """The minimax objective: ``max_j µ_j``."""

@@ -17,7 +17,7 @@ the regularizer, and the advisor all work on it unchanged.
 import numpy as np
 
 from repro import units
-from repro.core.objective import ObjectiveEvaluator
+from repro.core.objective import ObjectiveEvaluator, layout_count
 from repro.core.problem import LayoutProblem
 from repro.errors import WorkloadError
 
@@ -30,14 +30,19 @@ class RobustEvaluator:
         self.evaluations = 0
 
     def utilization_matrix(self, matrix):
-        """Elementwise worst-case µ_ij across scenarios."""
-        self.evaluations += 1
+        """Elementwise worst-case µ_ij across scenarios.
+
+        Like :meth:`ObjectiveEvaluator.utilization_matrix`, accepts a
+        (B, N, M) stack and counts it as B evaluations.
+        """
+        self.evaluations += layout_count(matrix)
         stacked = [e.utilization_matrix(matrix) for e in self.evaluators]
         return np.maximum.reduce(stacked)
 
     def utilizations(self, matrix):
-        """Per-target worst-case utilization across scenarios."""
-        self.evaluations += 1
+        """Per-target worst-case utilization across scenarios (a (B, M)
+        array for a (B, N, M) stack)."""
+        self.evaluations += layout_count(matrix)
         stacked = [e.utilizations(matrix) for e in self.evaluators]
         return np.maximum.reduce(stacked)
 

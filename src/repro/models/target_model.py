@@ -162,7 +162,10 @@ def estimate_utilization_matrix(workloads, layout, models,
 
     Args:
         workloads: List of N :class:`ObjectWorkload`.
-        layout: Layout matrix, shape (N, M).
+        layout: Layout matrix, shape (N, M), or a (B, N, M) stack of
+            layouts.  Every step is elementwise or per layout, so each
+            layout of a stack gets exactly the bytes a call on it alone
+            would.
         models: Sequence of M :class:`TargetModel` (one per target).
         stripe_size: LVM stripe size used by the layout model.
         arrays: Optional precomputed :func:`workload_arrays` result — the
@@ -170,11 +173,11 @@ def estimate_utilization_matrix(workloads, layout, models,
             workloads, so extraction is hoisted.
 
     Returns:
-        µ, an (N, M) numpy array.  ``µ.sum(axis=0)`` gives the target
-        utilizations µ_j.
+        µ, a numpy array shaped like ``layout``.  ``µ.sum(axis=-2)``
+        gives the target utilizations µ_j.
     """
     layout = np.asarray(layout, dtype=float)
-    n_objects, n_targets = layout.shape
+    n_targets = layout.shape[-1]
     if len(models) != n_targets:
         raise ValueError(
             "%d target models for %d targets" % (len(models), n_targets)
@@ -187,17 +190,18 @@ def estimate_utilization_matrix(workloads, layout, models,
     )
     chi = contention_factors(arrays["total_rate"], arrays["overlap"], layout)
 
-    mu = np.zeros((n_objects, n_targets))
+    mu = np.zeros(layout.shape)
     for cols, model in batch_model_groups(models):
         read_cost = model.read_model.lookup(
-            arrays["read_size"][:, None], run_counts[:, cols], chi[:, cols]
+            arrays["read_size"][:, None], run_counts[..., cols], chi[..., cols]
         )
         write_cost = model.write_model.lookup(
-            arrays["write_size"][:, None], run_counts[:, cols], chi[:, cols]
+            arrays["write_size"][:, None], run_counts[..., cols],
+            chi[..., cols]
         )
-        mu[:, cols] = (
-            arrays["read_rate"][:, None] * layout[:, cols] * read_cost
-            + arrays["write_rate"][:, None] * layout[:, cols] * write_cost
+        mu[..., cols] = (
+            arrays["read_rate"][:, None] * layout[..., cols] * read_cost
+            + arrays["write_rate"][:, None] * layout[..., cols] * write_cost
         )
     return mu
 

@@ -20,12 +20,14 @@ def contention_factors(total_rates, overlap_matrix, layout, floor=1e-9):
     Args:
         total_rates: Array of per-object total request rates, shape (N,).
         overlap_matrix: (N, N) array of ``O_i[k]`` with a zero diagonal.
-        layout: Layout matrix ``L``, shape (N, M).
+        layout: Layout matrix ``L``, shape (N, M), or a (B, N, M) stack
+            (one matrix product per layout).
         floor: Denominator floor; entries with (near-)zero own rate on a
             target get a contention of zero since they impose no load.
 
     Returns:
-        (N, M) array of contention factors (zero where ``L_ij ≈ 0``).
+        Array of contention factors shaped like ``layout`` (zero where
+        ``L_ij ≈ 0``).
     """
     rates = np.asarray(total_rates, dtype=float)
     overlaps = np.asarray(overlap_matrix, dtype=float)

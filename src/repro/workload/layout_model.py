@@ -31,13 +31,13 @@ def per_target_run_counts(run_counts, mean_sizes, layout,
     Args:
         run_counts: Array of ``Q_i``, shape (N,).
         mean_sizes: Array of ``B_i`` (rate-weighted mean sizes), shape (N,).
-        layout: Layout matrix ``L``, shape (N, M).
+        layout: Layout matrix ``L``, shape (N, M), or a (B, N, M) stack.
         stripe_size: LVM stripe size.
 
     Returns:
-        Array of ``Q_ij``, shape (N, M).  Entries where ``L_ij = 0`` are
-        set to 1 (they carry no load, so the value is irrelevant but must
-        stay in the cost models' valid domain).
+        Array of ``Q_ij`` shaped like ``layout``.  Entries where
+        ``L_ij = 0`` are set to 1 (they carry no load, so the value is
+        irrelevant but must stay in the cost models' valid domain).
     """
     q = np.asarray(run_counts, dtype=float)[:, None]
     b = np.asarray(mean_sizes, dtype=float)[:, None]

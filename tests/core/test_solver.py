@@ -17,6 +17,8 @@ from repro.core.solver import (
     solve_slsqp,
 )
 
+from repro.obs import Instrumentation
+
 from tests.conftest import make_problem
 
 
@@ -76,6 +78,27 @@ def test_slsqp_beats_see(problem):
 def test_slsqp_result_is_valid(problem):
     result = solve_slsqp(problem, initial_layout(problem))
     problem.validate_layout(result.layout)
+
+
+def test_slsqp_exit_status_is_counted(problem):
+    obs = Instrumentation.on()
+    solve_slsqp(problem, initial_layout(problem), obs=obs)
+    assert obs.metrics.get("repro_solver_slsqp_exits_total",
+                           status=0).value == 1
+
+
+def test_slsqp_fixed_row_exit_is_visible():
+    """A fixed row's integrity constraint has no free variable left, so
+    SLSQP stops with "Singular matrix C in LSQ subproblem" (status 6);
+    the counter makes that exit visible instead of silent."""
+    problem = make_problem(pinning=PinningConstraints(
+        fixed={"small": [0.5, 0.5, 0.0, 0.0]}))
+    obs = Instrumentation.on()
+    result = solve_slsqp(problem, initial_layout(problem), obs=obs)
+    assert not result.success
+    exits = obs.metrics.find("repro_solver_slsqp_exits_total")
+    assert [(labels, counter.value) for labels, counter in exits] == [
+        ({"status": 6}, 1)]
 
 
 def test_solver_separates_interfering_objects(problem):
