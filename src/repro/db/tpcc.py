@@ -125,9 +125,11 @@ TRANSACTION_MIX = (
 )
 
 
+_MIX_PROFILES = tuple(p for p, _ in TRANSACTION_MIX)
+_MIX_WEIGHTS = np.array([w for _, w in TRANSACTION_MIX])
+_MIX_P = _MIX_WEIGHTS / _MIX_WEIGHTS.sum()
+
+
 def sample_transaction(rng):
     """Draw a transaction profile from the mix."""
-    profiles = [p for p, _ in TRANSACTION_MIX]
-    weights = np.array([w for _, w in TRANSACTION_MIX])
-    index = rng.choice(len(profiles), p=weights / weights.sum())
-    return profiles[int(index)]
+    return _MIX_PROFILES[int(rng.choice(len(_MIX_PROFILES), p=_MIX_P))]

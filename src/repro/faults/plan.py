@@ -12,6 +12,7 @@ The plan says nothing about *how* faults are applied; that is the
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,16 @@ class FaultEvent:
     def validate(self, target_names=None):
         if self.kind not in KINDS:
             raise FaultError("unknown fault kind %r" % self.kind)
+        for name in ("time", "duration_s", "service_scale",
+                     "capacity_factor"):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise FaultError(
+                    "fault %s must be a finite number, not %r" % (name, value))
         if self.time < 0:
             raise FaultError("fault time must be non-negative")
         if self.kind in TARGET_KINDS:

@@ -4,9 +4,10 @@ The paper evaluates layouts on real hardware (15K RPM SCSI disks, a Perc
 RAID controller, and a SATA SSD).  This subpackage provides the simulated
 equivalent: device models whose service times reproduce the qualitative
 behaviours the paper's results depend on (sequential vs. random disk costs,
-readahead collapse under stream contention, elevator scheduling gains at
-queue depth, SSD flat latency, RAID0 bandwidth scaling), an event engine,
-request streams, and the layout-to-physical placement mapper.
+readahead collapse under stream contention, an analytic elevator gain at
+queue depth over FCFS unit queues, SSD flat latency, RAID0 bandwidth
+scaling), an event engine, request streams, and the layout-to-physical
+placement mapper.
 """
 
 from repro.storage.request import IORequest, CompletionRecord

@@ -70,7 +70,12 @@ class DeviceUnit(ABC):
 
     Units are stateful: a disk unit remembers its head position and its
     readahead tracker, so service times depend on the order in which the
-    target dispatches requests.
+    target dispatches requests.  That order is first come first served:
+    the target keeps one FCFS queue per unit.  The elevator effect the
+    paper observes in Figure 8 (random request costs *decreasing* with
+    contention) is an analytic factor on the seek time in
+    :meth:`DiskUnit.service_time <repro.storage.disk.DiskUnit.service_time>`,
+    not a reordering of the queue.
     """
 
     #: Number of requests the unit can service concurrently.
@@ -88,17 +93,6 @@ class DeviceUnit(ABC):
                 it can track, which is what collapses the sequential
                 advantage in the paper's Figure 8.
         """
-
-    def pick_index(self, queue) -> int:
-        """Choose which queued request to serve next (default FCFS).
-
-        ``queue`` is a non-empty sequence of pending :class:`IORequest`.
-        Disk units override this with a LOOK/elevator policy so that the
-        average seek distance shrinks as the queue deepens — the effect
-        the paper observes as random request costs *decreasing* with
-        contention in Figure 8.
-        """
-        return 0
 
     def reset(self):
         """Reset any dynamic state (head position, readahead)."""

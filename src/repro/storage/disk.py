@@ -88,52 +88,59 @@ class DiskUnit(DeviceUnit):
         self.head = 0
         self.readahead = ReadAheadTracker(params.readahead_depth)
         self._credits = {}
+        # Per-request constants of the service-time formula.
+        self._seek_span_s = params.max_seek_s - params.min_seek_s
+        self._rotation_s = params.rotation_s
 
     def seek_time(self, distance):
         """Seek time for a byte-distance move, sqrt-curve interpolation."""
         if distance <= 0:
             return 0.0
-        p = self.params
         fraction = min(1.0, distance / self.capacity)
-        return p.min_seek_s + (p.max_seek_s - p.min_seek_s) * math.sqrt(fraction)
+        return self.params.min_seek_s + self._seek_span_s * math.sqrt(fraction)
 
     def transfer_time(self, size):
         return size / self.params.transfer_bps
 
     def service_time(self, request, active_streams=1):
         p = self.params
+        stream_id = request.stream_id
+        lba = request.lba
+        size = request.size
         # Read-ahead helps while the firmware still tracks this stream;
         # with more concurrent streams than tracker slots, each stream's
         # prefetch state is evicted between its own requests and the
         # sequential advantage collapses (the paper's Figure 8).
-        hit = self.readahead.access(request.stream_id, request.lba, request.size)
-        if hit and request.lba != self.head:
+        hit = self.readahead.access(stream_id, lba, size)
+        if hit and lba != self.head:
             # The head has been pulled away by another stream: the
             # request is served from the bounded prefetch buffer, which
             # drains after `prefetch_chunk` bytes and then costs a
             # repositioning to refill.
-            credit = self._credits.get(request.stream_id, 0)
-            if credit >= request.size:
-                self._credits[request.stream_id] = credit - request.size
+            credits = self._credits
+            credit = credits.get(stream_id, 0)
+            if credit >= size:
+                credits[stream_id] = credit - size
             else:
                 hit = False
-                self._credits[request.stream_id] = p.prefetch_chunk
-                if len(self._credits) > 64:
-                    self._credits.clear()
+                credits[stream_id] = p.prefetch_chunk
+                if len(credits) > 64:
+                    credits.clear()
         if hit:
-            cost = p.sequential_overhead_s + self.transfer_time(request.size)
+            cost = p.sequential_overhead_s + size / p.transfer_bps
         else:
-            distance = abs(request.lba - self.head)
             # Elevator effect: with more concurrent streams the firmware
             # reorders among a deeper queue, shortening the average seek
             # — the gentle downward slope of the run-count-1 curve in
-            # the paper's Figure 8.
+            # the paper's Figure 8.  Unit queues stay FCFS; this factor
+            # is the whole of the elevator in the model.
             elevator = max(0.6, 1.0 / (1.0 + 0.12 * max(0, active_streams - 1)))
-            positioning = self.seek_time(distance) * elevator + p.rotation_s
+            positioning = (self.seek_time(abs(lba - self.head)) * elevator
+                           + self._rotation_s)
             if request.kind == "write":
                 positioning *= p.write_penalty
-            cost = p.overhead_s + positioning + self.transfer_time(request.size)
-        self.head = request.lba + request.size
+            cost = p.overhead_s + positioning + size / p.transfer_bps
+        self.head = lba + size
         return cost
 
     def reset(self):

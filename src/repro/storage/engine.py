@@ -27,26 +27,38 @@ class SimulationEngine:
         self._heap = []
         self._sequence = 0
         self._completion_observers = []
-        #: Lifetime count of events executed by :meth:`step`; exported
-        #: by the simulator metrics collector as
-        #: ``repro_sim_engine_events_total``.
-        self.events_processed = 0
 
     @property
     def now(self):
         """Current simulated time in seconds."""
         return self._now
 
+    @property
+    def events_processed(self):
+        """Lifetime count of events taken off the queue and run.
+
+        Every scheduled event gets one sequence number, so this is the
+        number scheduled minus the number still pending; the event loop
+        pays nothing to keep it.  Exported by the simulator metrics
+        collector as ``repro_sim_engine_events_total``.
+        """
+        return self._sequence - len(self._heap)
+
     def schedule(self, delay, callback, *args):
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError("cannot schedule an event in the past")
-        self.schedule_at(self._now + delay, callback, *args)
+        # Written as a negated comparison so a NaN delay is refused too.
+        if not delay >= 0:
+            raise SimulationError(
+                "cannot schedule an event in the past (delay %r)" % (delay,))
+        heapq.heappush(
+            self._heap, (self._now + delay, self._sequence, callback, args))
+        self._sequence += 1
 
     def schedule_at(self, time, callback, *args):
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
-            raise SimulationError("cannot schedule an event in the past")
+        if not time >= self._now:
+            raise SimulationError(
+                "cannot schedule an event in the past (time %r)" % (time,))
         heapq.heappush(self._heap, (time, self._sequence, callback, args))
         self._sequence += 1
 
@@ -56,7 +68,6 @@ class SimulationEngine:
             return False
         time, _, callback, args = heapq.heappop(self._heap)
         self._now = time
-        self.events_processed += 1
         callback(*args)
         return True
 
@@ -65,12 +76,18 @@ class SimulationEngine:
 
         Returns the final simulated time.
         """
+        heap = self._heap
+        pop = heapq.heappop
         if until is None:
-            while self.step():
-                pass
+            while heap:
+                time, _, callback, args = pop(heap)
+                self._now = time
+                callback(*args)
         else:
-            while self._heap and self._heap[0][0] <= until:
-                self.step()
+            while heap and heap[0][0] <= until:
+                time, _, callback, args = pop(heap)
+                self._now = time
+                callback(*args)
             if self._now < until:
                 self._now = until
         return self._now

@@ -1,7 +1,7 @@
 """I/O request and completion record types used by the simulator."""
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 READ = "read"
 WRITE = "write"
@@ -55,13 +55,16 @@ class IORequest:
         return self.finish_time - self.start_time
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(NamedTuple):
     """Immutable trace record emitted when a request completes.
 
     These records are the simulator's equivalent of the kernel block-I/O
     traces the paper collects; the workload analyzer fits Rome-style
-    workload descriptions from a list of them.
+    workload descriptions from a list of them.  A traced run keeps
+    hundreds of thousands of them, so they are tuples: cheap to build,
+    and, holding only atomic values, dropped from the cyclic garbage
+    collector's tracking on its first pass, so a long trace does not
+    slow every later collection.
     """
 
     submit_time: float

@@ -51,15 +51,8 @@ class SimContext:
     def submit(self, obj, offset, size, kind, stream_id, on_complete=None):
         """Issue one request against the target holding this extent."""
         target_index, address = self.placement.locate(obj, offset, size)
-        request = IORequest(
-            stream_id=stream_id,
-            kind=kind,
-            lba=address,
-            size=size,
-            obj=obj,
-            logical_offset=offset,
-            on_complete=on_complete,
-        )
+        request = IORequest(stream_id, kind, address, size, obj, offset,
+                            on_complete)
         self.targets[target_index].submit(request)
         return request
 
@@ -105,10 +98,8 @@ class _ClosedLoopStream:
         if offset is None:
             return False
         self.outstanding += 1
-        self.ctx.submit(
-            self.obj, offset, self.page, self.kind, self.stream_id,
-            on_complete=self._completed,
-        )
+        self.ctx.submit(self.obj, offset, self.page, self.kind,
+                        self.stream_id, self._completed)
         return True
 
     def _completed(self, request):
@@ -123,7 +114,8 @@ class _ClosedLoopStream:
         if self.think_s > 0:
             self.ctx.engine.schedule(self.think_s, self._refill)
         else:
-            self._refill()
+            self._issue()
+            self._check_done()
 
     def _refill(self):
         self._issue()

@@ -2,35 +2,36 @@
 
 A target is the unit of layout in the paper — "independent containers into
 which data can be stored".  It owns the device, routes incoming requests
-to device units, queues them when all servers of a unit are busy, applies
-the unit's scheduling policy, and records completions into an optional
-trace for the workload analyzer.  It also accumulates per-unit busy time,
-which gives the *measured* utilization that the advisor's estimated
-utilizations (paper Figure 13) are judged against.
+to device units, queues them first-come first-served when all servers of
+a unit are busy, and records completions into an optional trace for the
+workload analyzer.  It also accumulates per-unit busy time, which gives
+the *measured* utilization that the advisor's estimated utilizations
+(paper Figure 13) are judged against.
 """
+
+import math
+from collections import deque
 
 from repro.errors import SimulationError
 from repro.storage.request import CompletionRecord, IORequest
 
 
 class _UnitServer:
-    """Queue + in-service bookkeeping for one device unit."""
+    """FCFS queue and in-service bookkeeping for one device unit.
 
-    #: A queued head-of-line request may be bypassed by the scheduling
-    #: policy at most this many times before it is served unconditionally
-    #: (prevents LOOK from starving far-away requests).
-    BYPASS_LIMIT = 2
+    ``streams`` counts the queued requests of each stream, so the number
+    of distinct streams waiting at the unit is ``len(streams)`` without
+    a pass over the queue.
+    """
+
+    __slots__ = ("unit", "queue", "streams", "in_service", "busy_time")
 
     def __init__(self, unit):
         self.unit = unit
-        self.queue = []
+        self.queue = deque()
+        self.streams = {}
         self.in_service = 0
         self.busy_time = 0.0
-        self.head_bypassed = 0
-
-    @property
-    def free(self):
-        return self.in_service < self.unit.parallelism
 
 
 class StorageTarget:
@@ -117,7 +118,8 @@ class StorageTarget:
         """
         self.failed = True
         for server in self._servers:
-            queue, server.queue = server.queue, []
+            queue, server.queue = server.queue, deque()
+            server.streams.clear()
             for request in queue:
                 self._error(request)
 
@@ -132,9 +134,12 @@ class StorageTarget:
     def degrade(self, service_scale):
         """Scale every subsequent service time by ``service_scale``
         (> 1 is slower; 1.0 restores nominal speed)."""
-        if service_scale <= 0:
-            raise SimulationError("service scale must be positive")
-        self.service_scale = float(service_scale)
+        service_scale = float(service_scale)
+        if not (service_scale > 0 and math.isfinite(service_scale)):
+            raise SimulationError(
+                "service scale must be positive and finite, not %r"
+                % service_scale)
+        self.service_scale = service_scale
 
     def stall(self, duration_s):
         """Pause dispatching for ``duration_s``; arrivals queue up and
@@ -142,10 +147,15 @@ class StorageTarget:
         the window rather than shortening it."""
         if self.engine is None:
             raise SimulationError("target %s is not bound to an engine" % self.name)
-        until = self.engine.now + float(duration_s)
+        duration_s = float(duration_s)
+        if not (duration_s >= 0 and math.isfinite(duration_s)):
+            raise SimulationError(
+                "stall duration must be non-negative and finite, not %r"
+                % duration_s)
+        until = self.engine.now + duration_s
         if self._stalled_until is None or until > self._stalled_until:
             self._stalled_until = until
-            self.engine.schedule(float(duration_s), self._resume)
+            self.engine.schedule(duration_s, self._resume)
 
     def _resume(self):
         if self._stalled_until is not None and self.engine.now >= self._stalled_until - 1e-12:
@@ -170,19 +180,23 @@ class StorageTarget:
 
     def submit(self, request):
         """Submit a request; splits it if it crosses a unit boundary."""
-        if self.engine is None:
+        engine = self.engine
+        if engine is None:
             raise SimulationError("target %s is not bound to an engine" % self.name)
-        if request.lba < 0 or request.lba + request.size > self.capacity:
+        lba = request.lba
+        size = request.size
+        device = self.device
+        if lba < 0 or lba + size > device.capacity:
             raise SimulationError(
                 "request [%d, %d) outside target %s capacity %d"
-                % (request.lba, request.lba + request.size, self.name, self.capacity)
+                % (lba, lba + size, self.name, self.capacity)
             )
-        request.submit_time = self.engine.now
+        request.submit_time = engine.now
         if self.failed:
             self._error(request)
             return
-        limit = self.device.boundary(request.lba)
-        if request.size <= limit:
+        limit = device.boundary(lba)
+        if size <= limit:
             self._enqueue(request)
         else:
             self._submit_split(request, limit)
@@ -228,67 +242,69 @@ class StorageTarget:
             self._enqueue(fragment)
 
     def _enqueue(self, request):
-        unit_index, unit_lba = self.device.route(request.lba)
-        request.lba = unit_lba
+        unit_index, request.lba = self.device.route(request.lba)
         server = self._servers[unit_index]
         server.queue.append(request)
+        streams = server.streams
+        stream_id = request.stream_id
+        streams[stream_id] = streams.get(stream_id, 0) + 1
         self._dispatch(server)
 
     def _dispatch(self, server):
-        """Start queued requests while the unit has free service slots.
+        """Start queued requests, first come first served, while the
+        unit has free service slots.
 
         New arrivals always pass through the queue, so a stream that
         reissues synchronously from its completion callback cannot jump
-        ahead of requests that were already waiting.
+        ahead of requests that were already waiting.  A request enters
+        service seeing ``active_streams``: the distinct streams among
+        itself and the requests still queued, plus one per request in
+        service.
         """
-        if self.stalled or self.failed:
+        if self._stalled_until is not None or self.failed:
             return
-        while server.queue and server.free:
-            if server.head_bypassed >= server.BYPASS_LIMIT:
-                index = 0
+        queue = server.queue
+        streams = server.streams
+        unit = server.unit
+        engine = self.engine
+        while queue and server.in_service < unit.parallelism:
+            request = queue.popleft()
+            stream_id = request.stream_id
+            waiting = streams[stream_id] - 1
+            if waiting:
+                streams[stream_id] = waiting
             else:
-                index = server.unit.pick_index(server.queue)
-            if index != 0:
-                server.head_bypassed += 1
-            else:
-                server.head_bypassed = 0
-            self._start(server, server.queue.pop(index))
-
-    def _start(self, server, request):
-        request.start_time = self.engine.now
-        streams = {request.stream_id}
-        streams.update(r.stream_id for r in server.queue)
-        service = server.unit.service_time(
-            request, active_streams=len(streams) + server.in_service
-        ) * self.service_scale
-        server.in_service += 1
-        server.busy_time += service
-        self.engine.schedule(service, self._complete, server, request)
+                del streams[stream_id]
+            request.start_time = engine.now
+            service = unit.service_time(
+                request,
+                active_streams=(len(streams) + (stream_id not in streams)
+                                + server.in_service),
+            ) * self.service_scale
+            server.in_service += 1
+            server.busy_time += service
+            engine.schedule(service, self._complete, server, request)
 
     def _complete(self, server, request):
         server.in_service -= 1
-        request.finish_time = self.engine.now
+        engine = self.engine
+        request.finish_time = now = engine.now
         self.completed += 1
         if request.kind == "read":
             self.bytes_read += request.size
         else:
             self.bytes_written += request.size
-        if self.trace is not None or self.engine.has_completion_observers:
+        trace = self.trace
+        if trace is not None or engine.has_completion_observers:
             record = CompletionRecord(
-                submit_time=request.submit_time,
-                finish_time=request.finish_time,
-                target=self.name,
-                obj=request.obj,
-                stream_id=request.stream_id,
-                kind=request.kind,
-                lba=request.lba,
-                logical_offset=request.logical_offset,
-                size=request.size,
-                service_time=request.finish_time - request.start_time,
+                request.submit_time, now, self.device.name, request.obj,
+                request.stream_id, request.kind, request.lba,
+                request.logical_offset, request.size,
+                now - request.start_time,
             )
-            if self.trace is not None:
-                self.trace.append(record)
-            self.engine.notify_completion(record)
+            if trace is not None:
+                trace.append(record)
+            engine.notify_completion(record)
         if request.on_complete is not None:
             request.on_complete(request)
         self._dispatch(server)

@@ -120,3 +120,27 @@ def test_payload_omits_defaults(tmp_path):
     plan.save(str(path))
     entry = json.loads(path.read_text())["faults"][0]
     assert entry == {"time": 5.0, "kind": "fail-stop", "target": "t0"}
+
+
+@pytest.mark.parametrize("field", [
+    "time", "duration_s", "service_scale", "capacity_factor",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_parameters_rejected(field, value):
+    event = dict(time=1.0, kind="degrade", target="t0", duration_s=1.0,
+                 service_scale=2.0)
+    event[field] = value
+    with pytest.raises(FaultError, match=field):
+        FaultPlan([FaultEvent(**event)])
+
+
+@pytest.mark.parametrize("entry", [
+    '{"time": NaN, "kind": "fail-stop", "target": "t0"}',
+    '{"time": 1, "kind": "degrade", "target": "t0", "service_scale": Infinity}',
+    '{"time": 1, "kind": "stall", "target": "t0", "duration_s": NaN}',
+])
+def test_json_plan_with_non_finite_values_does_not_load(tmp_path, entry):
+    path = tmp_path / "plan.json"
+    path.write_text('{"faults": [%s]}' % entry)
+    with pytest.raises(FaultError):
+        FaultPlan.load(str(path))

@@ -5,6 +5,7 @@ import pytest
 from repro import units
 from repro.errors import ScenarioError
 from repro.scenarios.schema import ScenarioSpec
+from repro.scenarios.yamlio import parse_yaml
 
 from tests.scenarios.conftest import base_payload
 
@@ -154,4 +155,15 @@ def test_initial_layout_requires_targets(payload):
     payload.pop("targets")
     payload["initial_layout"] = {"hot": [1.0], "cold": [1.0]}
     with pytest.raises(ScenarioError, match="targets"):
+        parse(payload)
+
+
+@pytest.mark.parametrize("fault", [
+    "{time: .nan, kind: fail-stop, target: d0}",
+    "{time: 5, kind: degrade, target: d1, service_scale: .inf}",
+    "{time: 5, kind: stall, target: d0, duration_s: .inf}",
+])
+def test_yaml_faults_with_non_finite_values_rejected(payload, fault):
+    payload["faults"] = parse_yaml("faults: [%s]" % fault)["faults"]
+    with pytest.raises(ScenarioError, match="finite"):
         parse(payload)

@@ -160,3 +160,37 @@ def test_removed_observer_stops_seeing(engine):
 def test_remove_unknown_observer_is_a_noop(engine):
     engine.remove_completion_observer(lambda record: None)
     assert not engine.has_completion_observers
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1e-9])
+def test_schedule_rejects_nan_and_negative_delays(engine, delay):
+    with pytest.raises(SimulationError):
+        engine.schedule(delay, lambda: None)
+    assert engine.pending == 0
+
+
+def test_schedule_at_rejects_nan_time(engine):
+    with pytest.raises(SimulationError):
+        engine.schedule_at(float("nan"), lambda: None)
+    assert engine.pending == 0
+
+
+def test_events_processed_counts_every_executed_event(engine):
+    seen = []
+
+    def chain(n):
+        seen.append(engine.events_processed)
+        if n:
+            engine.schedule(1.0, chain, n - 1)
+
+    engine.schedule(1.0, chain, 2)
+    engine.schedule(5.0, lambda: None)
+    assert engine.events_processed == 0
+    engine.run(until=2.5)
+    assert seen == [1, 2]
+    assert engine.events_processed == 2
+    engine.step()
+    assert engine.events_processed == 3
+    engine.run()
+    assert engine.events_processed == 4
+    assert engine.pending == 0

@@ -165,3 +165,30 @@ def test_bind_attaches_engine_and_trace():
     target.submit(_request(0))
     engine.run()
     assert len(trace) == 1
+
+
+def _run_requests(engine, target, n=50):
+    for i in range(n):
+        target.submit(_request(units.mib(i % 20), stream=i % 3 + 1))
+    return engine.run()
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_degrade_rejects_non_positive_or_non_finite_scale(engine, target,
+                                                          scale):
+    with pytest.raises(SimulationError):
+        target.degrade(scale)
+    assert target.service_scale == 1.0
+    assert _run_requests(engine, target) > 0
+    assert target.errors == 0
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+def test_stall_rejects_negative_or_non_finite_duration(engine, target,
+                                                       duration):
+    with pytest.raises(SimulationError):
+        target.stall(duration)
+    assert not target.stalled
+    elapsed = _run_requests(engine, target)
+    assert 0 < elapsed < 10
+    assert target.completed == 50
