@@ -28,10 +28,10 @@ import pytest
 
 from benchmarks.conftest import RESULTS_DIR, report
 from repro import units
-from repro.cli import load_problem
 from repro.core.advisor import LayoutAdvisor
 from repro.experiments.reporting import format_table
 from repro.online.controller import ControllerConfig, OnlineController
+from repro.problem_io import load_problem
 from repro.scenarios import compile_scenario, load_scenario
 from repro.scenarios.live import LiveScenario
 from repro.storage.disk import DiskDrive

@@ -3,28 +3,11 @@
 The paper envisions the technique "deployed as a standalone storage
 layout advisor, whose output would guide the configuration of both the
 database system and the storage system".  This CLI is that standalone
-tool: it reads a JSON problem description and prints the recommended
-layout (and optionally the per-stage estimated utilizations).
-
-Problem file format::
-
-    {
-      "stripe_size": 1048576,
-      "targets": [
-        {"name": "disk0", "capacity": 19757048, "kind": "disk15k"},
-        {"name": "ssd", "capacity": 4194304, "kind": "ssd"}
-      ],
-      "objects": [
-        {"name": "lineitem", "size": 5242880,
-         "read_rate": 800, "write_rate": 0,
-         "read_size": 8192, "write_size": 8192,
-         "run_count": 64, "overlap": {"orders": 0.9}}
-      ]
-    }
-
-Target kinds map to analytic cost models (``disk15k``, ``disk7200``,
-``ssd``, or ``raid0`` with ``"members": k``); pass ``--calibrate`` to
-build measured cost models from the simulator instead.
+tool: it reads a JSON problem description (the format is documented in
+:mod:`repro.problem_io`) and prints the recommended layout (and
+optionally the per-stage estimated utilizations).  Target kinds get
+analytic cost models; pass ``--calibrate`` to build measured cost
+models from the simulator instead.
 
 Usage::
 
@@ -74,79 +57,9 @@ import json
 import sys
 
 from repro.core.advisor import LayoutAdvisor
-from repro.core.problem import LayoutProblem, TargetSpec
 from repro.errors import ReproError
-from repro.models.analytic import (
-    AnalyticDiskCostModel,
-    analytic_disk_target_model,
-    analytic_ssd_target_model,
-)
-from repro.models.target_model import TargetModel
+from repro.problem_io import load_problem
 from repro.serve.tracing import DEFAULT_RING as _DEFAULT_RING
-from repro.storage.disk import ENTERPRISE_15K, NEARLINE_7200
-from repro.units import DEFAULT_STRIPE_SIZE
-from repro.workload.spec import ObjectWorkload
-
-
-def _analytic_model(entry):
-    kind = entry.get("kind", "disk15k")
-    name = entry["name"]
-    if kind == "disk15k":
-        return analytic_disk_target_model(name, ENTERPRISE_15K)
-    if kind == "disk7200":
-        return analytic_disk_target_model(name, NEARLINE_7200)
-    if kind == "ssd":
-        return analytic_ssd_target_model(name)
-    if kind == "raid0":
-        members = int(entry.get("members", 2))
-        return TargetModel(
-            name=name,
-            read_model=AnalyticDiskCostModel(ENTERPRISE_15K, members, "read"),
-            write_model=AnalyticDiskCostModel(ENTERPRISE_15K, members,
-                                              "write"),
-        )
-    raise ReproError("unknown target kind %r" % kind)
-
-
-def _calibrated_model(entry):
-    from repro.experiments.runner import get_target_model
-    from repro.experiments.scenarios import DeviceSpec
-
-    kind = entry.get("kind", "disk15k")
-    members = int(entry.get("members", 1))
-    spec = DeviceSpec(entry["name"], kind, int(entry["capacity"]),
-                      n_members=members)
-    return get_target_model(spec)
-
-
-def load_problem(data, calibrate=False):
-    """Build a :class:`LayoutProblem` from a parsed JSON description."""
-    targets = []
-    for entry in data["targets"]:
-        model = _calibrated_model(entry) if calibrate \
-            else _analytic_model(entry)
-        targets.append(TargetSpec(
-            name=entry["name"], capacity=int(entry["capacity"]), model=model,
-        ))
-
-    sizes = {}
-    workloads = []
-    for entry in data["objects"]:
-        sizes[entry["name"]] = int(entry["size"])
-        workloads.append(ObjectWorkload(
-            name=entry["name"],
-            read_size=entry.get("read_size", 8192),
-            write_size=entry.get("write_size", 8192),
-            read_rate=entry.get("read_rate", 0.0),
-            write_rate=entry.get("write_rate", 0.0),
-            run_count=entry.get("run_count", 1.0),
-            overlap=dict(entry.get("overlap", {})),
-        ))
-
-    return LayoutProblem(
-        sizes, targets, workloads,
-        stripe_size=int(data.get("stripe_size", DEFAULT_STRIPE_SIZE)),
-    )
 
 
 def _build_obs(path):

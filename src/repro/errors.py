@@ -56,10 +56,11 @@ class SolverError(ReproError):
 
 
 class ScenarioError(ReproError):
-    """A scenario spec or experiment matrix is malformed.
+    """A scenario spec, experiment matrix or problem file is malformed.
 
     Examples: a YAML file that does not parse, a schedule entry naming
-    an unknown mix, a task weight that is not positive.  Messages are
+    an unknown mix, a task weight that is not positive, a target whose
+    ``kind`` or ``members`` is unusable.  Messages are
     one line and carry the file/field path so a CLI user can fix the
     spec without reading a traceback.
     """

@@ -8,12 +8,9 @@ cache can key models by device type.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro import units
-from repro.storage.disk import DiskDrive, DiskParameters, ENTERPRISE_15K, NEARLINE_7200
-from repro.storage.raid import Raid0Group, Raid1Mirror, Raid5Group
-from repro.storage.ssd import SolidStateDrive, SsdParameters, SATA_SSD_2010
+from repro.storage.kinds import DISK15K, RAID0, SSD, build_device
 
 #: Paper testbed constants (bytes, before scaling).
 DISK_CAPACITY = int(18.4 * units.GIB)
@@ -42,7 +39,8 @@ class DeviceSpec:
 
     Attributes:
         name: Target name.
-        kind: ``"disk15k"``, ``"disk7200"``, ``"raid0"``, or ``"ssd"``.
+        kind: A :data:`repro.storage.kinds.KINDS` name: ``"disk15k"``,
+            ``"disk7200"``, ``"raid0"``, or ``"ssd"``.
         capacity: Capacity in bytes.
         n_members: RAID member count (1 for plain devices).
     """
@@ -54,21 +52,8 @@ class DeviceSpec:
 
     def build(self):
         """Create a fresh device instance."""
-        if self.kind == "disk15k":
-            return DiskDrive(self.name, self.capacity, ENTERPRISE_15K)
-        if self.kind == "disk7200":
-            return DiskDrive(self.name, self.capacity, NEARLINE_7200)
-        if self.kind == "raid0":
-            return Raid0Group(self.name, self.capacity, self.n_members,
-                              ENTERPRISE_15K)
-        if self.kind == "raid1":
-            return Raid1Mirror(self.name, self.capacity, ENTERPRISE_15K)
-        if self.kind == "raid5":
-            return Raid5Group(self.name, self.capacity, self.n_members,
-                              ENTERPRISE_15K)
-        if self.kind == "ssd":
-            return SolidStateDrive(self.name, self.capacity, SATA_SSD_2010)
-        raise ValueError("unknown device kind %r" % self.kind)
+        return build_device(self.kind, self.name, self.capacity,
+                            self.n_members)
 
     @property
     def model_key(self):
@@ -76,20 +61,21 @@ class DeviceSpec:
         return (self.kind, self.n_members, int(self.capacity))
 
 
-def disk_spec(name, scale=1.0, kind="disk15k"):
+def disk_spec(name, scale=1.0, kind=DISK15K.name):
     """One of the testbed's 18.4 GB drives, scaled."""
     return DeviceSpec(name, kind, int(DISK_CAPACITY * scale))
 
 
 def raid0_spec(name, n_members, scale=1.0):
     """A RAID0 group over ``n_members`` of the testbed drives."""
-    return DeviceSpec(name, "raid0", int(DISK_CAPACITY * scale) * n_members,
+    return DeviceSpec(name, RAID0.name,
+                      int(DISK_CAPACITY * scale) * n_members,
                       n_members=n_members)
 
 
 def ssd_spec(name, capacity_gib=32, scale=1.0):
     """The testbed SSD with a configurable capacity (paper Figure 18)."""
-    return DeviceSpec(name, "ssd", int(capacity_gib * units.GIB * scale))
+    return DeviceSpec(name, SSD.name, int(capacity_gib * units.GIB * scale))
 
 
 def four_disks(scale=1.0):

@@ -13,6 +13,7 @@ for calibrated models in tests and quick what-if analyses.
 import numpy as np
 
 from repro.storage.disk import DiskParameters, ENTERPRISE_15K
+from repro.storage.kinds import KINDS
 from repro.storage.ssd import SsdParameters, SATA_SSD_2010
 
 
@@ -120,3 +121,13 @@ def analytic_ssd_target_model(name, params=SATA_SSD_2010):
         read_model=AnalyticSsdCostModel(params, kind="read"),
         write_model=AnalyticSsdCostModel(params, kind="write"),
     )
+
+
+def analytic_target_model(name, kind, members=1):
+    """The analytic TargetModel of a target of ``kind``
+    (:data:`repro.storage.kinds.KINDS`); ``members`` sizes a group."""
+    row = KINDS[kind]
+    if isinstance(row.params, SsdParameters):
+        return analytic_ssd_target_model(name, row.params)
+    return analytic_disk_target_model(name, row.params,
+                                      members if row.grouped else 1)

@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.problem import LayoutProblem
 from repro.errors import ReproError, ScenarioError
 from repro.online.controller import ControllerConfig
+from repro.problem_io import load_problem
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.library import load_scenario, resolve_scenario
 from repro.scenarios.yamlio import load_yaml_file
@@ -121,7 +122,6 @@ def run_cell(scenario_ref, controller_entry, seed=None):
 
     Importable at module top level so the process pool can pickle it.
     """
-    from repro.cli import load_problem
     from repro.core.advisor import LayoutAdvisor
 
     started = time.monotonic()

@@ -53,12 +53,10 @@ from typing import Dict, List, Optional, Tuple
 from repro import units
 from repro.errors import ScenarioError
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.storage.kinds import KINDS, target_kind
 
 #: Recognized schedule shapes.
 SHAPES = ("constant", "ramp", "diurnal", "step", "drift")
-
-#: Target kinds the CLI problem loader understands.
-TARGET_KINDS = ("disk15k", "disk7200", "ssd", "raid0")
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._\-]*$")
 
@@ -182,7 +180,7 @@ class ScenarioTarget:
     def as_payload(self):
         payload = {"name": self.name, "kind": self.kind,
                    "capacity": self.capacity}
-        if self.kind == "raid0":
+        if KINDS[self.kind].grouped:
             payload["members"] = self.members
         return payload
 
@@ -320,22 +318,12 @@ class ScenarioSpec:
                 raise ScenarioError("%s: %s duplicates target %r"
                                     % (label, path, name))
             seen.add(name)
-            kind = entry.get("kind", "disk15k")
-            if kind not in TARGET_KINDS:
-                raise ScenarioError(
-                    "%s: %s.kind must be one of %s"
-                    % (label, path, "/".join(TARGET_KINDS))
-                )
+            kind, members = target_kind(entry, _ctx(label, path))
             capacity = _size_bytes(
                 entry, path, label,
                 keys=(("capacity_bytes", 1), ("capacity_mib", units.MIB),
                       ("capacity_gib", units.GIB)),
             )
-            members = entry.get("members", 1)
-            if isinstance(members, bool) or not isinstance(members, int) \
-                    or members < 1:
-                raise ScenarioError("%s: %s.members must be a positive "
-                                    "integer" % (label, path))
             targets.append(ScenarioTarget(name, kind, capacity, members))
         return tuple(targets)
 

@@ -1,27 +1,33 @@
 """YAML loading for scenario and matrix files.
 
-PyYAML (``yaml.safe_load``) is used when importable.  When it is not —
-the library otherwise depends only on numpy/scipy, and the serving
-layer set the precedent of hand-rolling protocol plumbing rather than
-growing the dependency set — a minimal safe-subset parser takes over.
-The subset covers what scenario files actually use: block mappings,
-block sequences, inline ``[a, b]`` lists and ``{k: v}`` maps, quoted
-and plain scalars (int / float / bool / null / string), comments, and
-blank lines.  Anchors, aliases, tags, multi-document streams, and
-block scalars are deliberately out of scope.
-
-Either path reports failures as a one-line
+PyYAML's safe loader, with one change: a key repeated within one
+mapping is an error instead of silently replacing the first, so a second
+``targets:`` block cannot drop the first.  Every failure is a one-line
 :class:`~repro.errors.ScenarioError` carrying ``file:line``.
 """
 
-import re
+import yaml
 
 from repro.errors import ScenarioError
 
-try:  # pragma: no cover - exercised via the public functions
-    import yaml as _pyyaml
-except ImportError:  # pragma: no cover - container ships PyYAML
-    _pyyaml = None
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects duplicate mapping keys."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != _MERGE_TAG]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, "duplicate key %r" % (key,),
+                    key_node.start_mark)
+            seen.add(key)
+        return mapping
 
 
 def load_yaml_file(path):
@@ -36,244 +42,14 @@ def load_yaml_file(path):
 
 def parse_yaml(text, label="<string>"):
     """Parse YAML text; raises one-line :class:`ScenarioError`."""
-    if _pyyaml is not None:
-        try:
-            return _pyyaml.safe_load(text)
-        except _pyyaml.YAMLError as error:
-            mark = getattr(error, "problem_mark", None)
-            where = ("%s:%d" % (label, mark.line + 1)
-                     if mark is not None else label)
-            problem = getattr(error, "problem", None) or str(error)
-            raise ScenarioError(
-                "%s: YAML parse error: %s" % (where, " ".join(
-                    str(problem).split()))
-            )
-    return _MiniYaml(text, label).parse()
-
-
-# ----------------------------------------------------------------------
-# Fallback safe-subset parser
-# ----------------------------------------------------------------------
-
-_BOOLS = {"true": True, "True": True, "false": False, "False": False}
-_NULLS = {"null", "~", "None", ""}
-#: ``key:`` with a plain (unquoted, non-flow) key.
-_KEY_RE = re.compile(r"^(?P<key>[^:#\s][^:#]*?)\s*:(?:\s+|$)")
-
-
-class _Line:
-    __slots__ = ("number", "indent", "text")
-
-    def __init__(self, number, indent, text):
-        self.number = number
-        self.indent = indent
-        self.text = text
-
-
-class _MiniYaml:
-    """Indentation-driven recursive-descent parser for the safe subset."""
-
-    def __init__(self, text, label):
-        self.label = label
-        self.lines = []
-        open_depth = 0
-        for number, raw in enumerate(text.splitlines(), start=1):
-            stripped = self._strip_comment(raw)
-            if not stripped.strip():
-                continue
-            if "\t" in raw[: len(raw) - len(raw.lstrip())]:
-                self._fail(number, "tabs are not allowed in indentation")
-            if open_depth > 0:
-                # Continuation of a flow collection begun on an earlier
-                # line: fold into that logical line (PyYAML-compatible).
-                prev = self.lines[-1]
-                prev.text = prev.text + " " + stripped.strip()
-                open_depth += self._flow_delta(stripped)
-            else:
-                indent = len(stripped) - len(stripped.lstrip(" "))
-                self.lines.append(_Line(number, indent, stripped.strip()))
-                open_depth = self._flow_delta(stripped)
-            if open_depth < 0:
-                self._fail(number, "unbalanced flow collection")
-        if open_depth > 0:
-            self._fail(self.lines[-1].number,
-                       "unterminated flow collection")
-        self.pos = 0
-
-    @staticmethod
-    def _flow_delta(text):
-        depth, quote = 0, None
-        for ch in text:
-            if quote:
-                if ch == quote:
-                    quote = None
-            elif ch in "'\"":
-                quote = ch
-            elif ch in "[{":
-                depth += 1
-            elif ch in "]}":
-                depth -= 1
-        return depth
-
-    def _fail(self, number, message):
-        raise ScenarioError("%s:%d: %s" % (self.label, number, message))
-
-    @staticmethod
-    def _strip_comment(raw):
-        out = []
-        quote = None
-        for i, ch in enumerate(raw):
-            if quote:
-                if ch == quote:
-                    quote = None
-            elif ch in "'\"":
-                quote = ch
-            elif ch == "#" and (i == 0 or raw[i - 1] in " \t"):
-                break
-            out.append(ch)
-        return "".join(out).rstrip()
-
-    def parse(self):
-        if not self.lines:
-            return None
-        value = self._block(self.lines[0].indent)
-        if self.pos < len(self.lines):
-            self._fail(self.lines[self.pos].number,
-                       "unexpected dedent / mixed structure")
-        return value
-
-    def _block(self, indent):
-        line = self.lines[self.pos]
-        if line.text.startswith("- ") or line.text == "-":
-            return self._sequence(indent)
-        return self._mapping(indent)
-
-    def _sequence(self, indent):
-        items = []
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            if line.indent != indent or not (
-                line.text.startswith("- ") or line.text == "-"
-            ):
-                break
-            rest = line.text[1:].strip()
-            self.pos += 1
-            if not rest:
-                items.append(self._nested(indent, line))
-            elif _KEY_RE.match(rest) and not rest.startswith(("[", "{")):
-                # ``- key: value`` compact mapping entry: re-parse the
-                # remainder as a mapping indented past the dash.
-                items.append(self._inline_mapping_entry(line, rest, indent))
-            else:
-                items.append(self._scalar(rest, line.number))
-        return items
-
-    def _inline_mapping_entry(self, line, rest, indent):
-        virtual = _Line(line.number, indent + 2, rest)
-        self.lines.insert(self.pos, virtual)
-        return self._mapping(indent + 2)
-
-    def _mapping(self, indent):
-        mapping = {}
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            if line.indent != indent:
-                break
-            match = _KEY_RE.match(line.text)
-            if match is None:
-                if line.text.endswith(":"):
-                    key_text, rest = line.text[:-1].strip(), ""
-                else:
-                    self._fail(line.number,
-                               "expected 'key: value' or '- item'")
-            else:
-                key_text = match.group("key").strip()
-                rest = line.text[match.end():].strip()
-            key = self._scalar(key_text, line.number)
-            if key in mapping:
-                self._fail(line.number, "duplicate key %r" % key)
-            self.pos += 1
-            if rest:
-                mapping[key] = self._scalar(rest, line.number)
-            else:
-                mapping[key] = self._nested(indent, line)
-        return mapping
-
-    def _nested(self, indent, line):
-        if self.pos < len(self.lines):
-            nxt = self.lines[self.pos]
-            if nxt.indent > indent:
-                return self._block(nxt.indent)
-            if (nxt.indent == indent
-                    and (nxt.text.startswith("- ") or nxt.text == "-")
-                    and not (line.text.startswith("- ")
-                             or line.text == "-")):
-                # Sequences are allowed at the same indent as their key.
-                return self._sequence(indent)
-        return None
-
-    # -- scalars and flow collections ----------------------------------
-
-    def _scalar(self, text, number):
-        text = text.strip()
-        if text.startswith("["):
-            return self._flow(text, number, "[", "]")
-        if text.startswith("{"):
-            return self._flow(text, number, "{", "}")
-        if text.startswith(("'", '"')):
-            if len(text) < 2 or text[-1] != text[0]:
-                self._fail(number, "unterminated quoted string")
-            return text[1:-1]
-        if text in _BOOLS:
-            return _BOOLS[text]
-        if text in _NULLS:
-            return None
-        try:
-            return int(text, 10)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            pass
-        return text
-
-    def _flow(self, text, number, opener, closer):
-        if not text.endswith(closer):
-            self._fail(number, "unterminated %r collection" % opener)
-        body = text[1:-1].strip()
-        parts = self._split_flow(body, number)
-        if opener == "[":
-            return [self._scalar(part, number) for part in parts]
-        mapping = {}
-        for part in parts:
-            if ":" not in part:
-                self._fail(number, "flow mapping entry %r needs a colon"
-                           % part)
-            key_text, value_text = part.split(":", 1)
-            mapping[self._scalar(key_text, number)] = self._scalar(
-                value_text, number
-            )
-        return mapping
-
-    def _split_flow(self, body, number):
-        if not body:
-            return []
-        parts, depth, quote, start = [], 0, None, 0
-        for i, ch in enumerate(body):
-            if quote:
-                if ch == quote:
-                    quote = None
-            elif ch in "'\"":
-                quote = ch
-            elif ch in "[{":
-                depth += 1
-            elif ch in "]}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(body[start:i].strip())
-                start = i + 1
-        if quote or depth:
-            self._fail(number, "unbalanced flow collection")
-        parts.append(body[start:].strip())
-        return parts
+    try:
+        return yaml.load(text, Loader=_UniqueKeyLoader)
+    except yaml.YAMLError as error:
+        mark = getattr(error, "problem_mark", None)
+        where = ("%s:%d" % (label, mark.line + 1)
+                 if mark is not None else label)
+        problem = getattr(error, "problem", None) or str(error)
+        raise ScenarioError(
+            "%s: YAML parse error: %s" % (where, " ".join(
+                str(problem).split()))
+        )

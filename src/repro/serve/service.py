@@ -10,11 +10,11 @@ layer stays trivial.
 
 Tenant lifecycle:
 
-* ``create_tenant`` parses the problem JSON (the exact ``repro.cli
-  advise`` schema) — or compiles a named library scenario
-  (``{"scenario": "oltp-steady"}``) into that schema — registers the
-  tenant with the fair scheduler, and
-  either adopts an explicitly supplied layout or runs the initial
+* ``create_tenant`` parses the problem JSON (the
+  :mod:`repro.problem_io` format ``repro advise`` reads) — or compiles
+  a named library scenario (``{"scenario": "oltp-steady"}``) into that
+  format — registers the tenant with the fair scheduler, and either
+  adopts an explicitly supplied layout or runs the initial
   advise through the shared pool (admission applies — creating hundreds
   of tenants at once is exactly the overload the bounded queue is for).
   Any uncommitted migration journal left in the tenant's state dir by a
@@ -45,6 +45,7 @@ from repro.obs import Instrumentation
 from repro.obs.export import prometheus_text_multi
 from repro.obs.slo import SloEngine, SloObjective
 from repro.online.controller import ControllerConfig
+from repro.problem_io import load_problem
 from repro.serve.durability import TenantWAL, recover_state_dir, \
     write_snapshot
 from repro.serve.pool import DeadlineError, SolverPool, advise_job, \
@@ -374,8 +375,6 @@ class AdvisorService:
         if tenant_id in self.tenants:
             raise ReproError("tenant %r already exists" % tenant_id)
 
-        from repro.cli import load_problem
-
         problem = load_problem(payload["problem"])
         config = self._controller_config(payload.get("controller"),
                                          tenant_id)
@@ -571,8 +570,6 @@ class AdvisorService:
 
     def _recover_tenant(self, state):
         """One tenant's state dict → a live, registered tenant."""
-        from repro.cli import load_problem
-
         tenant_id = state["tenant_id"]
         problem = load_problem(state["problem"])
         config = self._controller_config(state.get("controller"),

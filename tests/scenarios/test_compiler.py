@@ -190,7 +190,7 @@ def test_baseline_workloads_cover_first_entry():
 
 
 def test_problem_payload_round_trips_through_cli_loader():
-    from repro.cli import load_problem
+    from repro.problem_io import load_problem
 
     problem = load_problem(compiled().problem_payload())
     assert problem.object_names == ["hot", "cold"]

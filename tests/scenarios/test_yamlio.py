@@ -1,9 +1,14 @@
-"""Tests for the YAML loader and the safe-subset fallback parser."""
+"""Tests for the YAML loader.
+
+The ``test_mini_parser_*`` cases were written for the safe-subset parser
+that once backed the loader when PyYAML was missing; they keep their
+names and now pin the PyYAML loader's answer on the same inputs.
+"""
 
 import pytest
 
 from repro.errors import ScenarioError
-from repro.scenarios.yamlio import _MiniYaml, load_yaml_file, parse_yaml
+from repro.scenarios.yamlio import load_yaml_file, parse_yaml
 
 SAMPLE = """
 name: sample
@@ -23,10 +28,6 @@ compact:
 """
 
 
-def mini(text):
-    return _MiniYaml(text, "<test>").parse()
-
-
 def test_parse_yaml_basic_types():
     data = parse_yaml(SAMPLE, "<test>")
     assert data["name"] == "sample"
@@ -38,43 +39,53 @@ def test_parse_yaml_basic_types():
     assert data["compact"][1] == {"name": "write", "weight": 40}
 
 
-def test_mini_parser_matches_pyyaml_on_sample():
-    yaml = pytest.importorskip("yaml")
-    assert mini(SAMPLE) == yaml.safe_load(SAMPLE)
-
-
 def test_mini_parser_multiline_flow():
     text = "tasks:\n  - {name: scan, weight: 90,\n     run_count: 64}\n"
-    assert mini(text) == {
+    assert parse_yaml(text, "<test>") == {
         "tasks": [{"name": "scan", "weight": 90, "run_count": 64}]
     }
 
 
 def test_mini_parser_comments_and_blanks():
     text = "# header\na: 1  # trailing\n\nb: '#not a comment'\n"
-    assert mini(text) == {"a": 1, "b": "#not a comment"}
+    assert parse_yaml(text, "<test>") == {"a": 1, "b": "#not a comment"}
 
 
 def test_mini_parser_rejects_tabs():
-    with pytest.raises(ScenarioError, match="tabs"):
-        mini("a:\n\tb: 1\n")
+    with pytest.raises(ScenarioError, match=r"^<test>:2: .*'\\t'"):
+        parse_yaml("a:\n\tb: 1\n", "<test>")
 
 
 def test_mini_parser_rejects_duplicate_keys():
-    with pytest.raises(ScenarioError, match="duplicate key"):
-        mini("a: 1\na: 2\n")
+    with pytest.raises(ScenarioError,
+                       match=r"^<test>:2: .*duplicate key 'a'$"):
+        parse_yaml("a: 1\na: 2\n", "<test>")
+    with pytest.raises(ScenarioError, match=r"^<test>:3: .*'kind'$"):
+        parse_yaml("t:\n  kind: ssd\n  kind: raid0\n", "<test>")
+    # A second targets: block would otherwise drop the first.
+    text = ("targets:\n  - {name: d0, kind: ssd}\nname: x\n"
+            "targets:\n  - {name: d1}\n")
+    with pytest.raises(ScenarioError,
+                       match=r"^<test>:4: .*duplicate key 'targets'$"):
+        parse_yaml(text, "<test>")
+
+
+def test_merge_keys_may_override():
+    text = "base: &b {x: 1, y: 2}\nchild:\n  <<: *b\n  x: 5\n"
+    assert parse_yaml(text)["child"] == {"x": 5, "y": 2}
 
 
 def test_mini_parser_rejects_unterminated_flow():
-    with pytest.raises(ScenarioError, match="flow"):
-        mini("a: [1, 2\n")
+    with pytest.raises(ScenarioError, match=r"^<test>:2: .*'\]'"):
+        parse_yaml("a: [1, 2\n", "<test>")
 
 
 def test_error_carries_file_and_line(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("a: 1\n\tb: 2\n")
-    with pytest.raises(ScenarioError, match="bad.yaml"):
-        _MiniYaml(path.read_text(), str(path)).parse()
+    with pytest.raises(ScenarioError) as exc:
+        load_yaml_file(str(path))
+    assert str(exc.value).startswith("%s:2: " % path)
 
 
 def test_load_yaml_file_missing(tmp_path):

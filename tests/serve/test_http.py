@@ -97,6 +97,31 @@ def test_http_error_code_mapping():
     asyncio.run(scenario())
 
 
+
+@pytest.mark.parametrize("members", [0, 1.5, True])
+def test_http_bad_raid_members_is_400(members):
+    """A problem with an unusable RAID0 member count never becomes a
+    tenant (it used to, and its advise answered a bare NaN)."""
+    problem = dict(PROBLEM, targets=[dict(PROBLEM["targets"][0],
+                                          kind="raid0", members=members),
+                                     PROBLEM["targets"][1]])
+
+    async def scenario():
+        frontend = await _frontend()
+        client = ServeClient("127.0.0.1", frontend.port)
+        try:
+            status, body = await client.request(
+                "POST", "/tenants", {"tenant_id": "t1", "problem": problem},
+                raise_for_status=False)
+            assert status == 400
+            assert "targets[0].members" in body["error"]
+            assert (await client.status())["tenants"] == 0
+        finally:
+            await client.close()
+            await frontend.stop()
+
+    asyncio.run(scenario())
+
 def test_http_draining_maps_to_503():
     async def scenario():
         frontend = await _frontend()

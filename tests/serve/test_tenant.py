@@ -7,10 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import load_problem
 from repro.errors import ReproError
 from repro.faults.journal import MigrationJournal
 from repro.online.controller import ControllerConfig
+from repro.problem_io import load_problem
 from repro.serve.tenant import Tenant, records_from_payload
 
 from tests.serve.conftest import CONTROLLER, PROBLEM, hot_chunk

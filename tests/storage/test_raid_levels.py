@@ -83,11 +83,3 @@ class TestRaid5:
             _request(units.mib(10))
         ) == pytest.approx(plain.service_time(_request(units.mib(10))))
 
-
-def test_device_specs_build_new_raid_kinds():
-    from repro.experiments.scenarios import DeviceSpec
-
-    raid1 = DeviceSpec("m", "raid1", units.gib(1)).build()
-    raid5 = DeviceSpec("r", "raid5", units.gib(2), n_members=4).build()
-    assert isinstance(raid1, Raid1Mirror)
-    assert isinstance(raid5, Raid5Group)

@@ -84,6 +84,19 @@ def test_unknown_target_kind_is_an_error(tmp_path, capsys):
     assert main(["advise", str(path)]) == 1
 
 
+
+@pytest.mark.parametrize("members", [0, -2, 1.5, True])
+def test_bad_raid_members_is_an_error(tmp_path, capsys, members):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "targets": [{"name": "r", "capacity": gib(1), "kind": "raid0",
+                     "members": members}],
+        "objects": [{"name": "a", "size": mib(1), "read_rate": 10}],
+    }))
+    assert main(["advise", str(path)]) == 1
+    assert "targets[0].members must be a positive integer" \
+        in capsys.readouterr().err
+
 def test_raid_target_kind(tmp_path, capsys):
     path = tmp_path / "raid.json"
     path.write_text(json.dumps({
