@@ -9,7 +9,9 @@ SEE, the greedy initial, and the optimized layout — under OLAP1-63.
 The validation criterion is *ordinal*: the model must rank the targets
 consistently with reality and put the hot spot in the right place; the
 absolute scale of µ may drift (the model treats queueing effects as
-utilization), which does not affect a minimax optimizer.
+utilization), which does not affect a minimax optimizer.  An estimate
+equal on every target (SEE over identical disks) ranks nothing, so its
+correlations and hot-spot check print ``n/a``.
 """
 
 import numpy as np
@@ -38,21 +40,56 @@ def _average_ranks(values):
     return ranks
 
 
-def _spearman(a, b):
-    """Spearman rank correlation with proper tie handling.
+def _ties(values, value):
+    """Which entries of ``values`` equal ``value`` up to rounding."""
+    values = np.asarray(values, dtype=float)
+    return np.abs(values - value) <= 1e-9 * np.abs(values).max()
 
-    A constant input carries no ranking information; that case returns
-    1.0 (vacuously consistent) rather than an artefact of tie order.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.ptp(a) < 1e-9 * max(1e-12, abs(a).max()) or np.ptp(b) == 0:
-        return 1.0
-    ra = _average_ranks(a)
-    rb = _average_ranks(b)
-    if ra.std() == 0 or rb.std() == 0:
-        return 1.0
-    return float(np.corrcoef(ra, rb)[0, 1])
+
+def _constant(values):
+    return bool(_ties(values, values[0]).all())
+
+
+def _spearman(a, b):
+    """Spearman rank correlation with proper tie handling, or ``None``
+    where a constant input leaves it undefined."""
+    if _constant(a) or _constant(b):
+        return None
+    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1])
+
+
+def _pearson(a, b):
+    """Pearson correlation, or ``None`` for a constant input."""
+    if _constant(a) or _constant(b):
+        return None
+    return float(np.corrcoef(a, b)[0, 1])
+
+
+def _hot_match(estimated, measured):
+    """Whether the measured hottest target is one the estimate ranks
+    hottest; ``None`` when the estimate ranks no target above another."""
+    if _constant(estimated):
+        return None
+    return bool(_ties(estimated, np.max(estimated))[np.argmax(measured)])
+
+
+def _unique_hottest(estimated):
+    return int(_ties(estimated, np.max(estimated)).sum()) == 1
+
+
+def test_undefined_agreement_is_none():
+    constant = [2.25, 2.25, 2.25, 2.25]
+    measured = [0.39, 0.30, 0.27, 0.24]
+    assert _spearman(constant, measured) is None
+    assert _spearman(measured, constant) is None
+    assert _pearson(constant, measured) is None
+    assert _hot_match(constant, measured) is None
+    assert not _unique_hottest(constant)
+    assert _spearman(measured, measured) == 1.0
+    tied = [1.55, 1.55, 0.97, 1.27]
+    assert _hot_match(tied, [0.45, 0.44, 0.18, 0.19])
+    assert not _hot_match(tied, [0.18, 0.19, 0.45, 0.44])
+    assert not _unique_hottest(tied)
 
 
 def test_model_predicts_measured_utilizations(benchmark, lab):
@@ -88,11 +125,8 @@ def test_model_predicts_measured_utilizations(benchmark, lab):
                 "estimated": estimated,
                 "measured": measured,
                 "rank_corr": _spearman(estimated, measured),
-                "pearson": float(np.corrcoef(estimated, measured)[0, 1])
-                if estimated.std() > 1e-9 and measured.std() > 1e-9
-                else 1.0,
-                "hot_match": int(np.argmax(estimated))
-                == int(np.argmax(measured)),
+                "pearson": _pearson(estimated, measured),
+                "hot_match": _hot_match(estimated, measured),
             })
         return rows
 
@@ -104,9 +138,9 @@ def test_model_predicts_measured_utilizations(benchmark, lab):
             row["layout"],
             " ".join("%.2f" % v for v in row["estimated"]),
             " ".join("%.2f" % v for v in row["measured"]),
-            "%.2f" % row["rank_corr"],
-            "%.2f" % row["pearson"],
-            "yes" if row["hot_match"] else "no",
+            "n/a" if row["rank_corr"] is None else "%.2f" % row["rank_corr"],
+            "n/a" if row["pearson"] is None else "%.2f" % row["pearson"],
+            {None: "n/a", True: "yes", False: "no"}[row["hot_match"]],
         ])
     report("model_validation", format_table(
         ["Layout", "Estimated u_j", "Measured busy fraction",
@@ -122,8 +156,11 @@ def test_model_predicts_measured_utilizations(benchmark, lab):
     initial_row = next(r for r in rows if r["layout"] == "initial")
     assert initial_row["hot_match"]
     assert initial_row["pearson"] > 0.9
-    # The hot spot is identified in every layout; ranks stay
-    # non-adversarial (near-tied values may shuffle).
+    # The hot spot is identified wherever the estimate names a single
+    # one; ranks stay non-adversarial wherever they are defined
+    # (near-tied values may shuffle).
     for row in rows:
-        assert row["hot_match"]
-        assert row["rank_corr"] >= -0.5 or row["pearson"] > 0.9
+        if _unique_hottest(row["estimated"]):
+            assert row["hot_match"]
+        if row["rank_corr"] is not None:
+            assert row["rank_corr"] >= -0.5 or row["pearson"] > 0.9

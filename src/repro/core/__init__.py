@@ -13,7 +13,6 @@ from repro.core.initial import initial_layout
 from repro.core.solver import solve, solve_slsqp, solve_coordinate, SolveResult
 from repro.core.anneal import solve_anneal
 from repro.core.partition import overlap_partitions, solve_partitioned
-from repro.core.robust import RobustProblem, RobustEvaluator
 from repro.core.migration import (
     MigrationPlan,
     Move,
@@ -37,8 +36,6 @@ __all__ = [
     "solve_partitioned",
     "overlap_partitions",
     "SolveResult",
-    "RobustProblem",
-    "RobustEvaluator",
     "MigrationPlan",
     "Move",
     "migration_cost_seconds",

@@ -135,17 +135,6 @@ class ObjectiveEvaluator:
         """Per-object total system load ``Σ_j µ_ij`` (regularizer order)."""
         return self.utilization_matrix(matrix).sum(axis=1)
 
-    def softmax_objective(self, matrix, beta=25.0):
-        """Smoothed max of µ_j, for gradient-based refinement.
-
-        ``(1/β)·log Σ_j exp(β·µ_j)`` upper-bounds the true max and
-        converges to it as β grows; it keeps the objective differentiable
-        where the max switches between targets.
-        """
-        mu = self.utilizations(matrix)
-        peak = mu.max()
-        return float(peak + np.log(np.exp(beta * (mu - peak)).sum()) / beta)
-
     # ------------------------------------------------------------------
     # Incremental evaluation
     # ------------------------------------------------------------------

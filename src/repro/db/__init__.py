@@ -21,7 +21,6 @@ from repro.db.workloads import (
     OLTP,
 )
 from repro.db.engine import WorkloadResult, run_olap, run_oltp, run_consolidation
-from repro.db.cache import CachedContext, LruPageCache
 
 __all__ = [
     "Database",
@@ -41,6 +40,4 @@ __all__ = [
     "run_olap",
     "run_oltp",
     "run_consolidation",
-    "CachedContext",
-    "LruPageCache",
 ]

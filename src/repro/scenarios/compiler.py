@@ -25,7 +25,7 @@ compare equal and the synthesized traces match byte for byte.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -212,12 +212,6 @@ class CompiledScenario:
     # Rate table queries
     # ------------------------------------------------------------------
 
-    def segment_at(self, t):
-        for segment in self.segments:
-            if segment.t0 <= t < segment.t1:
-                return segment
-        return self.segments[-1] if self.segments else None
-
     def rate_integral(self, obj=None, kind=None):
         """Expected request count over the whole scenario.
 
@@ -316,13 +310,6 @@ class CompiledScenario:
                 overlap=dict(overlaps.get(obj, {})) if total > 0 else {},
             ))
         return workloads
-
-    def workloads_at(self, t):
-        """Instantaneous workload descriptions at scenario time ``t``."""
-        segment = self.segment_at(t)
-        if segment is None:
-            return self.mean_workloads(0.0, self.duration_s)
-        return self.mean_workloads(segment.t0, segment.t1)
 
     def baseline_workloads(self):
         """What the initial layout should be solved for: the first

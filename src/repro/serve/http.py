@@ -340,22 +340,3 @@ class HttpFrontend:
                     return 200, service.tenant_events(tenant_id)
         raise _HttpError(404, "no route for %s %s" % (method, path))
 
-
-async def run_frontend(config, ready=None, stop_event=None):
-    """Boot an :class:`AdvisorService` + frontend and serve until
-    ``stop_event`` (an :class:`asyncio.Event`) fires; then drain.
-
-    ``ready`` (optional callable) receives the frontend once listening —
-    the CLI uses it to print the bound port, tests to capture it.
-    """
-    from repro.serve.service import AdvisorService
-
-    frontend = HttpFrontend(AdvisorService(config))
-    await frontend.start()
-    if ready is not None:
-        ready(frontend)
-    if stop_event is None:
-        stop_event = asyncio.Event()
-    await stop_event.wait()
-    await frontend.stop()
-    return frontend

@@ -7,10 +7,7 @@ this module plays Rubicon's role, estimating request sizes, request
 rates, run counts, and pairwise temporal overlaps from a trace.
 """
 
-import math
 from collections import defaultdict
-
-import numpy as np
 
 from repro.errors import WorkloadError
 from repro.workload.spec import ObjectWorkload
@@ -94,9 +91,6 @@ class TraceAnalyzer:
     def objects(self):
         """Names of objects observed in the trace."""
         return sorted(self._stats)
-
-    def request_count(self, obj):
-        return self._stats[obj].total if obj in self._stats else 0
 
     def overlap(self, obj, other):
         """Estimated ``O_i[k]``: fraction of i-active windows with k active."""

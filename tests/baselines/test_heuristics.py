@@ -8,7 +8,7 @@ from repro.baselines.heuristics import (
     isolate_tables_layout,
     isolate_tables_indexes_layout,
 )
-from repro.baselines.see import see_layout
+from repro.core.layout import Layout
 from repro.db.schema import Database, DatabaseObject, INDEX, LOG, TABLE, TEMP
 from repro.errors import LayoutError
 
@@ -25,7 +25,7 @@ def db():
 
 
 def test_see_layout_is_uniform(db):
-    layout = see_layout(db.object_names, ["a", "b", "c", "d"])
+    layout = Layout.see(db.object_names, ["a", "b", "c", "d"])
     assert (layout.matrix == 0.25).all()
     assert layout.is_regular()
 

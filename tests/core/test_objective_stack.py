@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.core.problem import LayoutProblem, TargetSpec
-from repro.core.robust import RobustProblem
 from repro.models.analytic import (
     analytic_disk_target_model,
     analytic_ssd_target_model,
@@ -83,26 +82,4 @@ def test_objective_evaluator_stack_is_per_layout(seed, b, n, m):
     assert metrics.get("repro_evaluator_full_evaluations_total").value == b
     single = np.array([evaluator.utilizations(layout) for layout in stack])
     assert stacked.shape == (b, m)
-    assert stacked.tobytes() == single.tobytes()
-
-
-@settings(max_examples=25, deadline=None)
-@given(**SHAPES)
-def test_robust_evaluator_stack_is_per_layout(seed, b, n, m):
-    rng = np.random.default_rng(seed)
-    first = _workloads(rng, n)
-    second = _workloads(rng, n)
-    problem = RobustProblem({w.name: units.mib(10) for w in first},
-                            _targets(m), [first, second])
-    metrics = MetricsRegistry()
-    evaluator = problem.evaluator(metrics=metrics)
-    stack = _stack(rng, b, n, m)
-    stacked = evaluator.utilizations(stack)
-    assert evaluator.evaluations == b
-    for scenario in evaluator.evaluators:
-        assert scenario.full_evaluations == b
-    # The scenarios share the registry: one increment per scenario.
-    assert (metrics.get("repro_evaluator_full_evaluations_total").value
-            == 2 * b)
-    single = np.array([evaluator.utilizations(layout) for layout in stack])
     assert stacked.tobytes() == single.tobytes()

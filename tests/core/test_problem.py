@@ -8,7 +8,7 @@ from repro.errors import CapacityError, WorkloadError
 from repro.models.analytic import analytic_disk_target_model
 from repro.workload.spec import ObjectWorkload
 
-from tests.conftest import make_problem, make_workloads
+from tests.conftest import make_problem
 
 
 def test_object_order_follows_size_mapping(small_problem):
@@ -77,12 +77,3 @@ def test_object_loads_sum_to_total(small_problem):
     assert loads.sum() == pytest.approx(
         evaluator.utilizations(see.matrix).sum()
     )
-
-
-def test_softmax_bounds_true_max(small_problem):
-    evaluator = small_problem.evaluator()
-    see = small_problem.see_layout().matrix
-    true_max = evaluator.objective(see)
-    smooth = evaluator.softmax_objective(see, beta=50.0)
-    assert smooth >= true_max
-    assert smooth <= true_max + 0.1

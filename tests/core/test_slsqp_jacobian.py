@@ -17,11 +17,9 @@ from repro.core import solver
 from repro.core.initial import initial_layout
 from repro.core.pinning import PinningConstraints
 from repro.core.problem import LayoutProblem, TargetSpec
-from repro.core.robust import RobustProblem
 from repro.models.analytic import analytic_disk_target_model
 from repro.models.table_model import TableCostModel
 from repro.models.target_model import TargetModel
-from repro.workload.spec import ObjectWorkload
 
 from tests.conftest import make_problem, make_workloads
 from tests.core.test_solver import make_wide_problem
@@ -30,22 +28,6 @@ from tests.core.test_solver import make_wide_problem
 def _sizes():
     return {"big": units.gib(1), "medium": units.mib(300),
             "small": units.mib(100)}
-
-
-def _robust_problem():
-    targets = [
-        TargetSpec("t%d" % j, units.gib(2),
-                   analytic_disk_target_model("t%d" % j))
-        for j in range(4)
-    ]
-    shifted = [
-        ObjectWorkload("big", read_rate=100.0, run_count=1.0),
-        ObjectWorkload("medium", read_rate=900.0, write_rate=10.0,
-                       run_count=64.0, overlap={"small": 0.7}),
-        ObjectWorkload("small", read_rate=300.0, run_count=8.0,
-                       overlap={"medium": 0.7}),
-    ]
-    return RobustProblem(_sizes(), targets, [make_workloads(), shifted])
 
 
 def _degraded_problem():
@@ -77,7 +59,6 @@ def _table_problem():
 PROBLEMS = {
     "small": make_problem,
     "wide": make_wide_problem,
-    "robust": _robust_problem,
     "degraded": _degraded_problem,
     "table": _table_problem,
     "allowed": lambda: make_problem(pinning=PinningConstraints(
