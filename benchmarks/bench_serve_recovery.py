@@ -259,7 +259,11 @@ async def _storm_and_kill(server, tenants, kill_after_s):
         try:
             while not stop.is_set():
                 try:
+                    # A fresh seed per advise keeps each one a solve for
+                    # the kill to land in, not a lookup of the last
+                    # answer; with restarts=1 it does not change it.
                     await client.advise(_tid(index),
+                                        {"seed": completed[index]},
                                         raise_for_status=False)
                     completed[index] += 1
                 except Exception:  # noqa: BLE001 — the server just died

@@ -268,7 +268,8 @@ def load_tenant_state(directory):
         layout            — fractions by object name (latest effective)
         clock_s, next_check, records_fed, chunks_fed, advises, resolves
         monitor           — monitor digest (may be None)
-        solved            — drift-baseline workloads (may be None)
+        solved            — drift-baseline workloads (latest effective;
+                            may be None)
         slo_state         — window high-water marks (may be None)
         journal_seq       — last migration journal number issued
         swapped_journals  — journal basenames whose swap reached the WAL
@@ -334,6 +335,7 @@ def load_tenant_state(directory):
                                            state.get("resolves", 0))
         elif kind == "swap":
             state["layout"] = record.get("layout", state.get("layout"))
+            state["solved"] = record.get("solved", state.get("solved"))
             state["resolves"] = record.get("resolves",
                                            state.get("resolves", 0))
             state["journal_seq"] = max(

@@ -34,7 +34,9 @@ them), and only then do the scheduler and pool shut down.
 """
 
 import asyncio
+import copy
 import dataclasses
+import json
 import os
 import re
 import time
@@ -734,14 +736,24 @@ class AdvisorService:
 
     async def advise(self, tenant_id, options=None, rtrace=None,
                      deadline=None):
-        """One-shot advise for a tenant's problem on the shared pool.
+        """Advise the tenant's current state; a repeat is a lookup.
+
+        The answer is the full Figure-4 pipeline on the tenant's targets
+        and its drift baseline: the workload its controller last
+        installed a layout for, which is the create-time workload until
+        the first install.  Each tenant keeps its last complete answer.
+        An advise with the same merged options while the baseline
+        stands returns a copy of it from the event loop, with no
+        admission, queue, pickling or solve; only a miss runs on the
+        shared pool.  The request's root span is tagged ``memo=hit`` or
+        ``memo=miss``.
 
         Called without ``rtrace`` (tests, embedded use) the service
         owns the request trace end to end; the HTTP layer passes one in
         and finalizes it itself after serializing the response.
 
         ``deadline`` (absolute ``time.perf_counter()`` seconds, as
-        minted by :meth:`deadline_from`) sheds the solver job once
+        minted by :meth:`deadline_from`) sheds a miss's solver job once
         expired and clamps its watchdog budget to whatever remains.
         """
         self._check_open()
@@ -749,17 +761,47 @@ class AdvisorService:
         if owned:
             rtrace = self.begin_trace("advise", tenant=tenant_id)
         try:
-            admission = (rtrace.start("admission.wait")
-                         if rtrace is not None else None)
             tenant = self._tenant(tenant_id)
             merged = self._advise_options(tenant.config, options)
-            if admission is not None:
-                rtrace.finish(admission)
+            controller = tenant.controller
+            # Read without the tenant lock, which a feed holds while it
+            # waits on this loop for its re-solve.  The controller
+            # replaces its baseline list at a layout install and never
+            # mutates it; the effective targets are its own list unless
+            # a fault injector is attached, and then a fresh list per
+            # call, which never hits.
+            baseline = controller.solved_workloads
+            targets = controller._effective_targets()
+            options_key = json.dumps(merged, sort_keys=True)
+            memo = tenant.advise_memo
+            hit = (memo is not None and memo[0] is baseline
+                   and memo[1] is targets and memo[2] == options_key)
+            outcome = "hit" if hit else "miss"
+            self.metrics.counter("repro_serve_advise_memo_total",
+                                 outcome=outcome).inc()
+            if rtrace is not None:
+                rtrace.root.set_tag("memo", outcome)
             started = time.perf_counter()
-            out = await self.scheduler.submit(tenant_id, advise_job,
-                                              tenant.problem, merged,
-                                              rtrace=rtrace,
-                                              deadline=deadline)
+            if hit:
+                answer = memo[3]
+            else:
+                admission = (rtrace.start("admission.wait")
+                             if rtrace is not None else None)
+                problem = controller._problem(baseline)
+                if admission is not None:
+                    rtrace.finish(admission)
+                out = await self.scheduler.submit(tenant_id, advise_job,
+                                                  problem, merged,
+                                                  rtrace=rtrace,
+                                                  deadline=deadline)
+                answer = {"tenant": tenant_id,
+                          "solver_time_s": out["solver_time_s"],
+                          **out["payload"]}
+                # A watchdog fallback answers this request only.
+                if not answer["degraded"]:
+                    tenant.advise_memo = (baseline, targets, options_key,
+                                          answer)
+            response = copy.deepcopy(answer)
             tenant.advises += 1
             self.metrics.histogram("repro_serve_advise_seconds").observe(
                 time.perf_counter() - started
@@ -768,11 +810,6 @@ class AdvisorService:
             if owned:
                 self.end_trace(rtrace, status_for(error), error=error)
             raise
-        response = {
-            "tenant": tenant_id,
-            "solver_time_s": out["solver_time_s"],
-            **out["payload"],
-        }
         if rtrace is not None:
             response["trace_id"] = rtrace.trace_id
         if owned:

@@ -258,16 +258,17 @@ class Tenant:
 
     Args:
         tenant_id: The tenant's name (also its metrics label).
-        problem: The tenant's :class:`~repro.core.problem.LayoutProblem`.
+        problem: The tenant's create-time
+            :class:`~repro.core.problem.LayoutProblem`.
         initial_layout: Layout currently in effect for the tenant.
         config: The tenant's :class:`ControllerConfig` (its
             ``journal_dir`` should point at the tenant's state dir).
         weight: Fair-share weight in the solver scheduler.
         solve_fn: Passed to :class:`ServedController`.
 
-    All feed/advise bookkeeping is guarded by a lock: trace chunks for
-    one tenant are applied strictly one at a time even when the client
-    pipelines requests.
+    Feeds are serialized by a lock: trace chunks for one tenant are
+    applied strictly one at a time even when the client pipelines
+    requests.  Advise runs on the event loop and never takes it.
     """
 
     def __init__(self, tenant_id, problem, initial_layout, config=None,
@@ -300,6 +301,10 @@ class Tenant:
         self.records_fed = 0
         self.chunks_fed = 0
         self.advises = 0
+        #: The last complete advise answer and the state it answers,
+        #: ``(baseline, targets, options_key, answer)``; see
+        #: :meth:`~repro.serve.service.AdvisorService.advise`.
+        self.advise_memo = None
         self.last_time = None
         self.deleted = False
         #: Durability (attached by the service when a state_dir is set).
@@ -430,6 +435,7 @@ class Tenant:
                 resolves=controller.resolves,
                 layout={name: [float(f) for f in row] for name, row in
                         controller.layout.fractions_by_name().items()},
+                solved=[asdict(w) for w in controller.solved_workloads],
             )
 
     def persist_state(self):

@@ -159,6 +159,21 @@ def test_swap_records_accumulate_exactly_once(tmp_path):
     assert state["journal_seq"] == 2
 
 
+def test_swap_records_replay_the_drift_baseline(tmp_path):
+    wal = TenantWAL(str(tmp_path / "t1"))
+    _create(wal)
+    solved = [{"name": "a", "read_rate": 200.0}]
+    wal.append("swap", journal="migration-000001.jsonl", journal_seq=1,
+               resolves=1, layout={"a": [0.5]}, solved=solved)
+    # A swap record without the field keeps the baseline it replays onto.
+    wal.append("swap", journal="migration-000002.jsonl", journal_seq=2,
+               resolves=2, layout={"a": [0.25]})
+    wal.close()
+    state = load_tenant_state(str(tmp_path / "t1"))
+    assert state["solved"] == solved
+    assert state["layout"] == {"a": [0.25]}
+
+
 def test_orphan_records_without_create_are_not_a_tenant(tmp_path):
     wal = TenantWAL(str(tmp_path / "t1"))
     wal.append("feed", clock_s=1.0, records_fed=5, chunks_fed=1,

@@ -207,8 +207,11 @@ def test_debug_ring_serves_and_evicts_traces():
         await service.start()
         try:
             await service.create_tenant(_payload("t1"))
+            # A distinct seed per advise keeps each one a solve, not a
+            # memo hit, so every trace has a worker subtree.
             ids = [
-                (await service.advise("t1"))["trace_id"] for _ in range(3)
+                (await service.advise("t1", options={"seed": seed}))
+                ["trace_id"] for seed in range(3)
             ]
             listing = service.debug_traces()
             assert listing["capacity"] == 2
