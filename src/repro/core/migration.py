@@ -44,6 +44,36 @@ class MigrationPlan:
     bytes_read: Dict[str, int] = field(default_factory=dict)
     bytes_written: Dict[str, int] = field(default_factory=dict)
 
+    @classmethod
+    def from_moves(cls, moves):
+        """The plan that performs exactly ``moves``, in their order."""
+        plan = cls(moves=list(moves))
+        for move in plan.moves:
+            plan.total_bytes += move.bytes
+            plan.bytes_read[move.source] = (
+                plan.bytes_read.get(move.source, 0) + move.bytes
+            )
+            plan.bytes_written[move.destination] = (
+                plan.bytes_written.get(move.destination, 0) + move.bytes
+            )
+        return plan
+
+    def chunks(self, size):
+        """Split the moves, in order, into copies of at most ``size``
+        bytes: ``[(source, destination, bytes), ...]``.
+
+        This indexing is what a migration journal records, so the live
+        copy and a resumed one agree on which chunk is which.
+        """
+        chunks = []
+        for move in self.moves:
+            left = move.bytes
+            while left > 0:
+                piece = min(int(size), left)
+                chunks.append((move.source, move.destination, piece))
+                left -= piece
+        return chunks
+
     def moved_fraction(self, total_size):
         """Moved bytes as a fraction of total database size."""
         return self.total_bytes / total_size if total_size else 0.0
@@ -87,10 +117,7 @@ def plan_migration(current, target, object_sizes):
     if current.target_names != target.target_names:
         raise LayoutError("layouts describe different target sets")
 
-    plan = MigrationPlan()
-    reads = {name: 0 for name in current.target_names}
-    writes = {name: 0 for name in current.target_names}
-
+    moves = []
     for i, obj in enumerate(current.object_names):
         size = object_sizes[obj]
         delta = (target.matrix[i] - current.matrix[i]) * size
@@ -109,15 +136,12 @@ def plan_migration(current, target, object_sizes):
             dest_j, needed = destinations[di]
             amount = int(round(min(available, needed)))
             if amount > 0:
-                plan.moves.append(Move(
+                moves.append(Move(
                     obj=obj,
                     source=current.target_names[source_j],
                     destination=current.target_names[dest_j],
                     bytes=amount,
                 ))
-                plan.total_bytes += amount
-                reads[current.target_names[source_j]] += amount
-                writes[current.target_names[dest_j]] += amount
             available -= amount
             needed -= amount
             if available <= 0.5:
@@ -129,10 +153,8 @@ def plan_migration(current, target, object_sizes):
             else:
                 destinations[di] = (dest_j, needed)
 
-    plan.moves.sort(key=lambda move: -move.bytes)
-    plan.bytes_read = reads
-    plan.bytes_written = writes
-    return plan
+    moves.sort(key=lambda move: -move.bytes)
+    return MigrationPlan.from_moves(moves)
 
 
 def migration_cost_seconds(plan, transfer_bps=80 * (1 << 20)):
@@ -142,8 +164,9 @@ def migration_cost_seconds(plan, transfer_bps=80 * (1 << 20)):
     at ``transfer_bps``; targets work in parallel, so the bound is the
     busiest target's traffic over the rate.
     """
-    busiest = 0
-    for name in plan.bytes_read:
-        busiest = max(busiest,
-                      plan.bytes_read[name] + plan.bytes_written.get(name, 0))
+    busiest = max(
+        (plan.bytes_read.get(name, 0) + plan.bytes_written.get(name, 0)
+         for name in set(plan.bytes_read) | set(plan.bytes_written)),
+        default=0,
+    )
     return busiest / transfer_bps

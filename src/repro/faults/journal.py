@@ -25,27 +25,12 @@ it means the journal itself is corrupt.
 
 import json
 import os
+from dataclasses import asdict
 
+from repro.core.migration import MigrationPlan, Move
 from repro.errors import FaultError
 
 VERSION = 1
-
-
-def _chunk_list(moves, chunk):
-    """Split moves into copy chunks exactly like ThrottledMigrator does.
-
-    Returns ``[(source name, destination name, bytes), ...]`` — the
-    canonical chunk indexing both the live migrator and a resumed one
-    agree on.
-    """
-    chunks = []
-    for move in moves:
-        left = int(move["bytes"])
-        while left > 0:
-            size = min(int(chunk), left)
-            chunks.append((move["source"], move["destination"], size))
-            left -= size
-    return chunks
 
 
 class MigrationJournal:
@@ -53,18 +38,20 @@ class MigrationJournal:
 
     Create with :meth:`create` (new migration) or :meth:`load` (crash
     recovery); both leave the file open for appending further records.
+    ``plan`` is the :class:`~repro.core.migration.MigrationPlan` the
+    journal describes, and ``chunks`` is ``plan.chunks(chunk)``.
     """
 
-    def __init__(self, path, moves, chunk, meta, done, committed,
+    def __init__(self, path, plan, chunk, meta, done, committed,
                  malformed=0):
         self.path = path
-        self.moves = moves
+        self.plan = plan
         self.chunk = int(chunk)
         self.meta = meta
         self.done = set(done)
         self.committed = committed
         self.malformed = malformed
-        self.chunks = _chunk_list(moves, chunk)
+        self.chunks = plan.chunks(self.chunk)
         for index in self.done:
             if not 0 <= index < len(self.chunks):
                 raise FaultError(
@@ -81,17 +68,13 @@ class MigrationJournal:
     def create(cls, path, plan, chunk, meta=None):
         """Start a journal for ``plan`` (a MigrationPlan), overwriting
         any stale journal at ``path``."""
-        moves = [
-            {"obj": m.obj, "source": m.source, "destination": m.destination,
-             "bytes": m.bytes}
-            for m in plan.moves
-        ]
-        journal = cls(path, moves, chunk, meta or {}, done=(),
+        journal = cls(path, plan, chunk, meta or {}, done=(),
                       committed=False)
         journal._handle = open(path, "w")
         journal._append({
             "kind": "begin", "version": VERSION, "chunk": int(chunk),
-            "moves": moves, "meta": journal.meta,
+            "moves": [asdict(move) for move in plan.moves],
+            "meta": journal.meta,
         })
         return journal
 
@@ -140,7 +123,10 @@ class MigrationJournal:
                 raise FaultError(
                     "journal %s has unknown record kind %r" % (path, kind)
                 )
-        return cls(path, begin["moves"], begin["chunk"], begin.get("meta", {}),
+        plan = MigrationPlan.from_moves(
+            Move(**move) for move in begin["moves"]
+        )
+        return cls(path, plan, begin["chunk"], begin.get("meta", {}),
                    done=done, committed=committed, malformed=malformed)
 
     # ------------------------------------------------------------------
@@ -157,12 +143,7 @@ class MigrationJournal:
 
     def matches(self, plan, chunk):
         """True when this journal describes exactly this migration."""
-        moves = [
-            {"obj": m.obj, "source": m.source, "destination": m.destination,
-             "bytes": m.bytes}
-            for m in plan.moves
-        ]
-        return moves == self.moves and int(chunk) == self.chunk
+        return plan.moves == self.plan.moves and int(chunk) == self.chunk
 
     # ------------------------------------------------------------------
     # Appending

@@ -27,18 +27,13 @@ Every decision is recorded in an :class:`~repro.online.events.EventLog`.
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro import units
 from repro.core.layout import Layout
-from repro.core.migration import (
-    MigrationPlan,
-    Move,
-    migration_cost_seconds,
-    plan_migration,
-)
+from repro.core.migration import migration_cost_seconds, plan_migration
 from repro.core.pinning import PinningConstraints
 from repro.core.problem import LayoutProblem, TargetSpec
 from repro.core.regularize import regularize
@@ -159,10 +154,8 @@ class _PendingMigration:
     predicted_util: float
     migrator: object = None
     accepted_at: float = 0.0
-    plan_bytes: int = 0
     span: object = None
     journal: object = None
-    events: dict = field(default_factory=dict)
 
 
 class OnlineController:
@@ -467,7 +460,7 @@ class OnlineController:
                       **decision)
         pending = _PendingMigration(
             layout=candidate, fitted=fitted, predicted_util=new_util,
-            accepted_at=now, plan_bytes=plan.total_bytes,
+            accepted_at=now,
             # The episode span is detached: it outlives this call and
             # must not adopt the controller's later spans as children.
             span=self.obs.tracer.start(
@@ -476,26 +469,7 @@ class OnlineController:
                 plan_bytes=plan.total_bytes,
             ),
         )
-        if self.ctx is not None:
-            self.migrating = True
-            self._pending = pending
-            pending.journal = self._open_journal(plan, candidate, fitted,
-                                                 new_util, now)
-            pending.migrator = ThrottledMigrator(
-                self.ctx, plan,
-                chunk=self.config.migration_chunk,
-                window=self.config.migration_window,
-                pace_s=self.config.migration_pace_s,
-                on_done=self._migration_done,
-                metrics=self.obs.metrics,
-                journal=pending.journal,
-            ).start()
-        else:
-            # Replay / advisory mode: no simulator to copy through; the
-            # layout takes effect after the estimated migration time.
-            finish = now + cost_s
-            self._install(pending, finish, bytes_moved=plan.total_bytes,
-                          elapsed_s=cost_s, virtual=True)
+        self._begin_migration(pending, plan, now, cost_s)
 
     def _run_solve(self, problem):
         """Run one drift re-solve; returns ``(SolveResult, rung)``.
@@ -522,35 +496,61 @@ class OnlineController:
             obs=self.obs,
         ), ""
 
-    def _journal_meta(self, candidate, fitted, predicted_util, now):
-        """The journal ``meta`` block: everything
-        :meth:`resume_migration` needs to rebuild the pending state in
-        a fresh controller."""
-        return {
-            "layout": {name: [float(f) for f in row] for name, row in
-                       candidate.fractions_by_name().items()},
-            "objects": list(self.object_names),
-            "targets": list(self.target_names),
-            "predicted_util": float(predicted_util),
-            "accepted_at": float(now),
-            "fitted": [asdict(w) for w in fitted],
-        }
+    def _begin_migration(self, pending, plan, now, cost_s):
+        """Bring an accepted layout online: the one path every accept,
+        evacuation and resume takes.
 
-    def _open_journal(self, plan, candidate, fitted, predicted_util, now):
-        """Create a crash-recovery journal for an accepted migration.
+        Live, ``plan`` is copied through the simulator by a
+        :class:`~repro.online.executor.ThrottledMigrator`, journaled
+        when ``config.journal_dir`` is set (a resumed ``pending``
+        brings its own journal), and the placement map is swapped when
+        the last chunk lands.  Without a simulator (replay / advisory
+        mode), or with nothing to copy, the layout takes effect at
+        ``now + cost_s``, after the estimated migration time.
+        """
+        if self.ctx is None or plan.total_bytes == 0:
+            self._install(pending, now + cost_s, bytes_moved=plan.total_bytes,
+                          elapsed_s=cost_s, virtual=True)
+            return
+        if pending.journal is None:
+            pending.journal = self._new_journal(plan, pending)
+        self.migrating = True
+        self._pending = pending
+        pending.migrator = ThrottledMigrator(
+            self.ctx, plan,
+            chunk=(pending.journal.chunk if pending.journal is not None
+                   else self.config.migration_chunk),
+            window=self.config.migration_window,
+            pace_s=self.config.migration_pace_s,
+            on_done=self._migration_done,
+            metrics=self.obs.metrics,
+            journal=pending.journal,
+        ).start()
+
+    def _new_journal(self, plan, pending):
+        """Create the crash-recovery journal of an accepted migration
+        under ``config.journal_dir`` (None without one).
 
         The ``meta`` block carries everything
-        :meth:`resume_migration` needs to rebuild the pending state in
-        a fresh controller: the accepted layout, the fitted workloads
-        it was solved for, and the accept-time bookkeeping.
+        :meth:`_pending_from_journal` needs to rebuild ``pending`` in a
+        fresh controller: the accepted layout, the fitted workloads it
+        was solved for, and the accept-time bookkeeping.
         """
-        if self.config.journal_dir is None or self.ctx is None:
+        if self.config.journal_dir is None:
             return None
         os.makedirs(self.config.journal_dir, exist_ok=True)
         self._journal_seq += 1
         path = os.path.join(self.config.journal_dir,
                             "migration-%04d.jsonl" % self._journal_seq)
-        meta = self._journal_meta(candidate, fitted, predicted_util, now)
+        meta = {
+            "layout": {name: [float(f) for f in row] for name, row in
+                       pending.layout.fractions_by_name().items()},
+            "objects": list(self.object_names),
+            "targets": list(self.target_names),
+            "predicted_util": float(pending.predicted_util),
+            "accepted_at": float(pending.accepted_at),
+            "fitted": [asdict(w) for w in pending.fitted],
+        }
         return MigrationJournal.create(path, plan,
                                        self.config.migration_chunk,
                                        meta=meta)
@@ -793,31 +793,14 @@ class OnlineController:
 
         pending = _PendingMigration(
             layout=candidate, fitted=fitted, predicted_util=new_util,
-            accepted_at=now, plan_bytes=plan.total_bytes,
+            accepted_at=now,
             span=self.obs.tracer.start(
                 "online.migration", detached=True, emergency=True,
                 accepted_at=round(float(now), 4),
                 plan_bytes=plan.total_bytes,
             ),
         )
-        if self.ctx is not None and plan.total_bytes > 0:
-            self.migrating = True
-            self._pending = pending
-            pending.journal = self._open_journal(plan, candidate, fitted,
-                                                 new_util, now)
-            pending.migrator = ThrottledMigrator(
-                self.ctx, plan,
-                chunk=self.config.migration_chunk,
-                window=self.config.migration_window,
-                pace_s=self.config.migration_pace_s,
-                on_done=self._migration_done,
-                metrics=self.obs.metrics,
-                journal=pending.journal,
-            ).start()
-        else:
-            finish = now if self.ctx is not None else now + cost_s
-            self._install(pending, finish, bytes_moved=plan.total_bytes,
-                          elapsed_s=cost_s, virtual=True)
+        self._begin_migration(pending, plan, now, cost_s)
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -826,70 +809,45 @@ class OnlineController:
     def resume_migration(self, journal_path):
         """Finish a migration whose process died mid-copy.
 
-        Rebuilds the accepted layout, the fitted workloads, and the
-        movement plan from the journal's meta block, then re-runs the
-        migrator with the journal attached — chunks already recorded
-        are skipped, so only the tail of the copy happens again.  A
-        journal that already holds its commit record needs nothing (the
-        placement swap happened before the crash).  Returns the loaded
-        journal.
+        Rebuilds the accepted layout and the fitted workloads from the
+        journal's meta block and sends the journal's plan down
+        :meth:`_begin_migration` with the journal attached — chunks
+        already recorded are skipped, so only the tail of the copy
+        happens again.  A journal that already holds its commit record
+        needs nothing (the placement swap happened before the crash).
+        Returns the loaded journal.
         """
         journal = MigrationJournal.load(journal_path)
         if journal.committed:
             return journal
+        now = self._now()
+        pending = self._pending_from_journal(journal, now)
+        self.log.emit(now, "resume",
+                      journal=os.path.basename(str(journal_path)),
+                      chunks_done=len(journal.done),
+                      chunks_total=journal.total_chunks)
+        cost_s = migration_cost_seconds(
+            journal.plan, transfer_bps=self.config.transfer_bps
+        )
+        self._begin_migration(pending, journal.plan, now, cost_s)
+        return journal
+
+    def _pending_from_journal(self, journal, now):
+        """The accepted migration a journal's meta block describes,
+        with the journal attached (``now`` stands in for a missing
+        accept time)."""
         meta = journal.meta
         layout = self._aligned(Layout(
             [meta["layout"][obj] for obj in meta["objects"]],
             meta["objects"], meta["targets"],
         ))
         fitted = [ObjectWorkload(**spec) for spec in meta.get("fitted", [])]
-        if not fitted:
-            fitted = list(self.solved_workloads)
-        moves = [
-            Move(obj=m["obj"], source=m["source"],
-                 destination=m["destination"], bytes=int(m["bytes"]))
-            for m in journal.moves
-        ]
-        reads, writes = {}, {}
-        for move in moves:
-            reads[move.source] = reads.get(move.source, 0) + move.bytes
-            writes[move.destination] = (
-                writes.get(move.destination, 0) + move.bytes
-            )
-        plan = MigrationPlan(
-            moves=moves, total_bytes=sum(m.bytes for m in moves),
-            bytes_read=reads, bytes_written=writes,
-        )
-        now = self._now()
-        self.log.emit(now, "resume",
-                      journal=os.path.basename(str(journal_path)),
-                      chunks_done=len(journal.done),
-                      chunks_total=journal.total_chunks)
-        pending = _PendingMigration(
-            layout=layout, fitted=fitted,
+        return _PendingMigration(
+            layout=layout, fitted=fitted or list(self.solved_workloads),
             predicted_util=float(meta.get("predicted_util", 0.0)),
             accepted_at=float(meta.get("accepted_at", now)),
-            plan_bytes=plan.total_bytes, journal=journal,
+            journal=journal,
         )
-        if self.ctx is not None:
-            self.migrating = True
-            self._pending = pending
-            pending.migrator = ThrottledMigrator(
-                self.ctx, plan, chunk=journal.chunk,
-                window=self.config.migration_window,
-                pace_s=self.config.migration_pace_s,
-                on_done=self._migration_done,
-                metrics=self.obs.metrics,
-                journal=journal,
-            ).start()
-        else:
-            cost_s = migration_cost_seconds(
-                plan, transfer_bps=self.config.transfer_bps
-            )
-            self._install(pending, now + cost_s,
-                          bytes_moved=plan.total_bytes, elapsed_s=cost_s,
-                          virtual=True)
-        return journal
 
     # ------------------------------------------------------------------
     # Replay mode

@@ -1,11 +1,12 @@
 """Throttled execution of a migration plan inside the simulator.
 
 The migration planner (:mod:`repro.core.migration`) says *what* moves;
-this module actually moves it.  Each :class:`~repro.core.migration.Move`
-is split into chunks; every chunk is a read request at the source target
-followed by a write request at the destination target, issued through
-the normal submission path so migration traffic queues behind — and
-delays — foreground requests.  A bounded in-flight window plus an
+this module actually moves it, one chunk of
+:meth:`~repro.core.migration.MigrationPlan.chunks` at a time.  Every
+chunk is a read request at the source target followed by a write
+request at the destination target, issued through the normal
+submission path so migration traffic queues behind — and delays —
+foreground requests.  A bounded in-flight window plus an
 optional inter-chunk pace keep the copy throttled, the way a production
 rebalancer caps its background bandwidth.
 
@@ -77,15 +78,11 @@ class ThrottledMigrator:
         self.stream_id = next_stream_id()
 
         target_index = {t.name: j for j, t in enumerate(ctx.targets)}
-        self._chunks = []          # (source index, destination index, bytes)
-        for move in plan.moves:
-            src = target_index[move.source]
-            dst = target_index[move.destination]
-            left = move.bytes
-            while left > 0:
-                size = min(self.chunk, left)
-                self._chunks.append((src, dst, size))
-                left -= size
+        # (source index, destination index, bytes)
+        self._chunks = [
+            (target_index[source], target_index[destination], size)
+            for source, destination, size in plan.chunks(self.chunk)
+        ]
         self._next = 0
         self._read_cursor = [0] * len(ctx.targets)
         self._write_cursor = [0] * len(ctx.targets)

@@ -129,7 +129,7 @@ class TenantWAL:
         self.close()
         os.replace(tmp, self.path)
         # Re-fsync the directory so the rename itself is durable.
-        _fsync_dir(self.directory)
+        fsync_dir(self.directory)
 
     def close(self):
         if self._handle is not None:
@@ -137,7 +137,9 @@ class TenantWAL:
             self._handle = None
 
 
-def _fsync_dir(directory):
+def fsync_dir(directory):
+    """Make renames and unlinks in ``directory`` durable (best effort:
+    a platform that cannot fsync a directory is skipped)."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:
@@ -210,7 +212,7 @@ def write_snapshot(directory, state, keep=2):
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    _fsync_dir(directory)
+    fsync_dir(directory)
     for _, old in existing[:max(0, len(existing) + 1 - keep)]:
         try:
             os.remove(old)

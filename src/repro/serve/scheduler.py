@@ -20,9 +20,8 @@ two tenants at equal weight receive solver time within a small constant
 of each other no matter how unequal their demand.
 
 Jobs are dispatched in micro-batches: every scheduling round fills all
-free pool slots at once (up to ``batch_max``), so a many-core pool
-starts many small tenant problems back to back instead of one per event
--loop wakeup.
+free pool slots at once, so a many-core pool starts many small tenant
+problems back to back instead of one per event-loop wakeup.
 """
 
 import asyncio
@@ -70,16 +69,13 @@ class FairScheduler:
         pool: The shared :class:`~repro.serve.pool.SolverPool`.
         max_pending: Global bound on queued (not yet dispatched) jobs;
             external submits beyond it raise :class:`AdmissionError`.
-        batch_max: Micro-batch cap — at most this many dispatches per
-            scheduling round.
         metrics: Optional metrics registry (queue depth gauge, admission
             and completion counters, queue-wait histogram).
     """
 
-    def __init__(self, pool, max_pending=64, batch_max=None, metrics=None):
+    def __init__(self, pool, max_pending=64, metrics=None):
         self.pool = pool
         self.max_pending = int(max_pending)
-        self.batch_max = int(batch_max or pool.max_workers)
         self.metrics = metrics
         self._queues = {}          # key -> deque[_Job]
         self._weights = {}         # key -> float
@@ -230,10 +226,8 @@ class FairScheduler:
         while not self._stopped:
             await self._wake.wait()
             self._wake.clear()
-            dispatched = 0
             while (not self._stopped
-                   and self.inflight < self.pool.max_workers
-                   and dispatched < self.batch_max):
+                   and self.inflight < self.pool.max_workers):
                 key = self._pick()
                 if key is None:
                     break
@@ -256,7 +250,6 @@ class FairScheduler:
                         ))
                     continue
                 self.inflight += 1
-                dispatched += 1
                 self._vclock = max(self._vclock,
                                    self._vtimes.get(key, 0.0))
                 asyncio.get_running_loop().create_task(

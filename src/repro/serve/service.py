@@ -17,8 +17,8 @@ Tenant lifecycle:
   adopts an explicitly supplied layout or runs the initial
   advise through the shared pool (admission applies — creating hundreds
   of tenants at once is exactly the overload the bounded queue is for).
-  Any uncommitted migration journal left in the tenant's state dir by a
-  previous incarnation is resumed before the tenant serves traffic.
+  A create starts a new life: journals an earlier tenant of the same
+  id left in its state dir are removed, never resumed.
 * ``feed_trace_chunk`` streams completion records into the tenant's
   server-side control loop on a worker thread (the loop is pure Python
   bookkeeping; re-solves it decides on go back through the shared pool
@@ -29,8 +29,8 @@ Tenant lifecycle:
 
 Drain (SIGTERM): new external work is refused with 503, in-flight
 feeds and advises run to completion, in-flight *migrations* are left
-as uncommitted journals on disk (the tenant's next incarnation finishes
-them), and only then do the scheduler and pool shut down.
+as uncommitted journals on disk (startup recovery on the same state
+dir finishes them), and only then do the scheduler and pool shut down.
 """
 
 import asyncio
@@ -48,8 +48,8 @@ from repro.obs.export import prometheus_text_multi
 from repro.obs.slo import SloEngine, SloObjective
 from repro.online.controller import ControllerConfig
 from repro.problem_io import load_problem
-from repro.serve.durability import TenantWAL, recover_state_dir, \
-    write_snapshot
+from repro.serve.durability import TenantWAL, fsync_dir, \
+    recover_state_dir, write_snapshot
 from repro.serve.pool import DeadlineError, SolverPool, advise_job, \
     resolve_job
 from repro.serve.scheduler import (AdmissionError, FairScheduler,
@@ -59,6 +59,20 @@ from repro.serve.tracing import DEFAULT_RING, AccessLog, RequestTrace, \
     TraceRing
 
 _TENANT_ID = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+
+_JOURNAL = re.compile(r"^migration-(\d+)\.jsonl$")
+
+
+def _journals(directory):
+    """``(seq, basename)`` per migration journal in ``directory``, in
+    name order."""
+    found = []
+    if os.path.isdir(directory):
+        for name in sorted(os.listdir(directory)):
+            match = _JOURNAL.match(name)
+            if match:
+                found.append((int(match.group(1)), name))
+    return found
 
 #: ControllerConfig fields a tenant may override at create time.
 _TUNABLE = {f.name for f in dataclasses.fields(ControllerConfig)} - {
@@ -408,7 +422,6 @@ class AdvisorService:
                         problem_payload=payload["problem"],
                         controller_overrides=payload.get("controller"))
         self._attach_wal(tenant, objective)
-        resumed = self._resume_journals(tenant)
         self.tenants[tenant_id] = tenant
         self.slo.register(tenant_id, objective)
         self.metrics.counter("repro_serve_tenants_created_total").inc()
@@ -416,7 +429,6 @@ class AdvisorService:
         response = {
             "tenant": tenant_id,
             "layout": tenant.controller.layout.fractions_by_name(),
-            "resumed_migrations": resumed,
             "slo": objective.to_dict(),
         }
         self._record_idempotency(idempotency_key, tenant_id,
@@ -439,43 +451,26 @@ class AdvisorService:
         )
         return problem.make_layout(matrix)
 
-    def _resume_journals(self, tenant):
-        """Finish uncommitted migrations a drained/crashed predecessor
-        left in this tenant's state dir."""
-        journal_dir = tenant.config.journal_dir
-        if journal_dir is None or not os.path.isdir(journal_dir):
-            return 0
-        from repro.faults.journal import MigrationJournal
-
-        resumed = 0
-        for name in sorted(os.listdir(journal_dir)):
-            match = re.match(r"migration-(\d+)\.jsonl$", name)
-            if not match:
-                continue
-            # New journals must not collide with a predecessor's files.
-            tenant.controller._journal_seq = max(
-                tenant.controller._journal_seq, int(match.group(1))
-            )
-            path = os.path.join(journal_dir, name)
-            if MigrationJournal.load(path).committed:
-                continue  # the placement swap happened before the drain
-            tenant.controller.resume_migration(path)
-            resumed += 1
-        if resumed:
-            self.metrics.counter(
-                "repro_serve_migrations_resumed_total"
-            ).inc(resumed)
-        return resumed
-
     # ------------------------------------------------------------------
     # Durability: WAL, snapshots, recovery
     # ------------------------------------------------------------------
 
     def _attach_wal(self, tenant, objective):
-        """Open the tenant's WAL and make its creation durable."""
+        """Open the tenant's WAL and make its creation durable.
+
+        A create starts a new life: migration journals an earlier
+        tenant of this id left behind are removed (durably) before the
+        ``create`` record lands, so neither this tenant nor a later
+        recovery of it resumes or adopts the deleted tenant's moves.
+        """
         if self.config.state_dir is None:
             return None
         directory = os.path.join(self.config.state_dir, tenant.tenant_id)
+        stale = [name for _, name in _journals(directory)]
+        for name in stale:
+            os.remove(os.path.join(directory, name))
+        if stale:
+            fsync_dir(directory)
         wal = TenantWAL.resume(directory)
         tenant.attach_wal(wal, snapshot_every=self.config.snapshot_every,
                           snapshot_fn=self._snapshot_tenant)
@@ -627,18 +622,15 @@ class AdvisorService:
         commits, installs, and WALs the swap, exactly once.
         """
         journal_dir = tenant.config.journal_dir
-        if journal_dir is None or not os.path.isdir(journal_dir):
+        if journal_dir is None:
             return 0, 0
         from repro.faults.journal import MigrationJournal
 
         resumed = adopted = 0
         now = tenant.last_time if tenant.last_time is not None else 0.0
-        for name in sorted(os.listdir(journal_dir)):
-            match = re.match(r"migration-(\d+)\.jsonl$", name)
-            if not match:
-                continue
+        for seq, name in _journals(journal_dir):
             tenant.controller._journal_seq = max(
-                tenant.controller._journal_seq, int(match.group(1))
+                tenant.controller._journal_seq, seq
             )
             path = os.path.join(journal_dir, name)
             if MigrationJournal.load(path).committed:

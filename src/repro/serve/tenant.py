@@ -12,8 +12,8 @@ twists:
   tenant's own trace clock.  A served migration is in flight from the
   moment the decision lands until enough trace time has passed to pay
   the copy bill; a drain (SIGTERM) that lands mid-flight leaves an
-  uncommitted journal on disk that the tenant's next incarnation
-  finishes via the controller's existing
+  uncommitted journal on disk that startup recovery on the same state
+  dir finishes via the controller's
   :meth:`~repro.online.controller.OnlineController.resume_migration`.
 
 Tenants advance on *their* time, not wall time: trace chunks carry
@@ -27,8 +27,6 @@ import os
 import threading
 from dataclasses import asdict
 
-from repro.core.layout import Layout
-from repro.core.migration import plan_migration
 from repro.errors import ReproError
 from repro.faults.journal import MigrationJournal
 from repro.obs import Instrumentation
@@ -110,7 +108,8 @@ class ServedController(OnlineController):
 
     def __init__(self, *args, solve_fn=None, **kwargs):
         self._solve_fn = solve_fn
-        self._served = None    # {"started": t, "cost_s": s} while in flight
+        #: Trace seconds the in-flight migration's copy takes.
+        self._copy_s = 0.0
         #: Called with the journal basename right after a migration's
         #: placement swap installs — the tenant's WAL hook.  The swap's
         #: own durable effect (the journal commit record) always
@@ -129,100 +128,81 @@ class ServedController(OnlineController):
 
     # -- journaled, trace-paced migration -------------------------------
 
-    def _install(self, pending, now, bytes_moved, elapsed_s, virtual):
-        fresh = (virtual
-                 and pending.journal is None
-                 and self.config.journal_dir is not None
-                 and self._served is None
-                 and bytes_moved > 0)
-        if not fresh:
-            super()._install(pending, now, bytes_moved, elapsed_s, virtual)
+    def _begin_migration(self, pending, plan, now, cost_s):
+        if pending.journal is not None:
+            # A predecessor's journal (resume): the base class installs
+            # the layout at once, and finishing the journal records the
+            # tail chunks as copied and commits, so recovery is
+            # idempotent.
+            super()._begin_migration(pending, plan, now, cost_s)
+            self._finish_journal(pending.journal)
+            return
+        if self.config.journal_dir is None or plan.total_bytes == 0:
+            super()._begin_migration(pending, plan, now, cost_s)
             return
         # Journal at accept: the plan is durable before any trace time
         # is spent "copying", so a drain or crash between accept and
         # completion leaves a resumable journal, never a lost decision.
-        plan = plan_migration(self.layout, pending.layout, self.object_sizes)
-        os.makedirs(self.config.journal_dir, exist_ok=True)
-        self._journal_seq += 1
-        path = os.path.join(self.config.journal_dir,
-                            "migration-%04d.jsonl" % self._journal_seq)
-        pending.journal = MigrationJournal.create(
-            path, plan, self.config.migration_chunk,
-            meta=self._journal_meta(pending.layout, pending.fitted,
-                                    pending.predicted_util,
-                                    pending.accepted_at),
-        )
-        cost_s = max(0.0, float(now) - float(pending.accepted_at))
-        self._served = {"started": float(pending.accepted_at),
-                        "cost_s": cost_s}
+        pending.journal = self._new_journal(plan, pending)
+        self._copy_s = max(0.0, float(now + cost_s)
+                           - float(pending.accepted_at))
         self._pending = pending
         self.migrating = True
         self.log.emit(pending.accepted_at, "migration-journaled",
-                      journal=os.path.basename(path),
-                      plan_bytes=int(bytes_moved),
-                      cost_s=round(cost_s, 4))
+                      journal=os.path.basename(pending.journal.path),
+                      plan_bytes=int(plan.total_bytes),
+                      cost_s=round(self._copy_s, 4))
 
     def pump_migration(self, now):
         """Advance the in-flight migration to trace time ``now``.
 
         Chunks are recorded in the journal proportionally to elapsed
         trace time over the estimated copy duration; once the estimate
-        has fully elapsed the journal is committed and the layout
-        installed.  Returns True when a migration completed.
+        has fully elapsed the layout is installed and the journal
+        committed.  Returns True when a migration completed.
         """
-        if self._served is None:
-            return False
-        state = self._served
         pending = self._pending
+        if pending is None:
+            return False
         journal = pending.journal
-        if state["cost_s"] <= 0:
+        if self._copy_s <= 0:
             fraction = 1.0
         else:
-            fraction = (float(now) - state["started"]) / state["cost_s"]
-        fraction = max(0.0, min(1.0, fraction))
-        target = journal.total_chunks if fraction >= 1.0 else int(
-            fraction * journal.total_chunks
-        )
-        for index in range(target):
-            journal.record_chunk(index)
+            fraction = ((float(now) - float(pending.accepted_at))
+                        / self._copy_s)
         if fraction < 1.0:
+            for index in range(int(max(0.0, fraction)
+                                   * journal.total_chunks)):
+                journal.record_chunk(index)
             return False
-        journal.record_commit()
-        journal.close()
-        self._served = None
         self._pending = None
         self.migrating = False
-        super()._install(pending, now, bytes_moved=pending.plan_bytes,
-                         elapsed_s=state["cost_s"], virtual=True)
+        self._install(pending, now, bytes_moved=journal.plan.total_bytes,
+                      elapsed_s=self._copy_s, virtual=True)
+        self._finish_journal(journal)
+        return True
+
+    def _finish_journal(self, journal):
+        """Record every remaining chunk, commit, close, and WAL the
+        swap."""
+        for index in journal.remaining():
+            journal.record_chunk(index)
+        journal.record_commit()
+        journal.close()
         if self.on_swap is not None:
             self.on_swap(os.path.basename(journal.path))
-        return True
 
     def suspend_migration(self):
         """Drain: flush and close the in-flight journal, uncommitted.
 
-        The chunks recorded so far stay durable; the next incarnation
-        of this tenant resumes from the journal and finishes the rest.
+        The chunks recorded so far stay durable; startup recovery on
+        the same state dir resumes the journal and finishes the rest.
         """
-        if self._served is None:
+        if self._pending is None:
             return None
         journal = self._pending.journal
         journal.close()
         return journal.path
-
-    def resume_migration(self, journal_path):
-        journal = super().resume_migration(journal_path)
-        if not journal.committed:
-            # The base class already installed the layout virtually
-            # (ctx is None); finishing the journal records the tail
-            # chunks as copied and commits, so recovery is idempotent.
-            for index in journal.remaining():
-                journal.record_chunk(index)
-            journal.record_commit()
-            journal.close()
-            if self.on_swap is not None:
-                self.on_swap(os.path.basename(str(journal_path)))
-        return journal
 
     def adopt_committed_swap(self, journal_path, now=0.0):
         """Apply a committed journal's layout without re-copying.
@@ -233,21 +213,13 @@ class ServedController(OnlineController):
         placement and drift baseline need to catch up to it.
         """
         journal = MigrationJournal.load(journal_path)
-        meta = journal.meta or {}
-        if not meta.get("layout"):
+        if not journal.meta.get("layout"):
             return journal
-        layout = self._aligned(Layout(
-            [meta["layout"][obj] for obj in meta["objects"]],
-            meta["objects"], meta["targets"],
-        ))
-        fitted = [ObjectWorkload(**spec) for spec in meta.get("fitted", [])]
-        if not fitted:
-            fitted = list(self.solved_workloads)
-        now = max(float(now), float(meta.get("accepted_at", 0.0)))
-        self.layout = layout
-        self.solved_workloads = fitted
-        self.detector.rebase(fitted,
-                             float(meta.get("predicted_util", 0.0)), now)
+        pending = self._pending_from_journal(journal, now)
+        now = max(float(now), pending.accepted_at)
+        self.layout = pending.layout
+        self.solved_workloads = pending.fitted
+        self.detector.rebase(pending.fitted, pending.predicted_util, now)
         self.log.emit(now, "adopt-swap",
                       journal=os.path.basename(str(journal_path)))
         return journal

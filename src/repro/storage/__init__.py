@@ -14,7 +14,7 @@ from repro.storage.request import IORequest, CompletionRecord
 from repro.storage.device import Device, DeviceUnit, ReadAheadTracker
 from repro.storage.disk import DiskDrive, DiskParameters, ENTERPRISE_15K, NEARLINE_7200
 from repro.storage.ssd import SolidStateDrive, SsdParameters, SATA_SSD_2010
-from repro.storage.raid import Raid0Group, Raid1Mirror, Raid5Group
+from repro.storage.raid import Raid0Group
 from repro.storage.target import StorageTarget
 from repro.storage.engine import SimulationEngine
 from repro.storage.mapping import PlacementMap
@@ -40,8 +40,6 @@ __all__ = [
     "SsdParameters",
     "SATA_SSD_2010",
     "Raid0Group",
-    "Raid1Mirror",
-    "Raid5Group",
     "StorageTarget",
     "SimulationEngine",
     "PlacementMap",

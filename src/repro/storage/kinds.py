@@ -4,8 +4,7 @@ cost models, and the problem and scenario file formats.
 The paper's testbed (§6) has 15K RPM SCSI drives, RAID0 groups of them
 behind a Perc controller, and a SATA SSD; ``disk7200`` adds a nearline
 drive for what-if problems.  A ``raid0`` target groups ``members``
-drives; every other kind is one device.  The RAID1 and RAID5 devices in
-:mod:`repro.storage.raid` are simulator-only and have no kind.
+drives; every other kind is one device.
 """
 
 from typing import NamedTuple

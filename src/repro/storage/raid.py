@@ -54,100 +54,3 @@ class Raid0Group(Device):
     def boundary(self, lba):
         """Bytes until the next stripe-unit boundary from ``lba``."""
         return self.stripe_unit - (lba % self.stripe_unit)
-
-
-class _Raid1Unit(DiskUnit):
-    """Both mirror spindles, presented as one two-way server.
-
-    Reads alternate between the members (either copy can serve them);
-    writes must land on both, so a write's service time is the slower
-    of the two members' and both heads move.
-    """
-
-    def __init__(self, capacity, params):
-        super().__init__(capacity, params)
-        self.parallelism = 2
-        self._members = [DiskUnit(capacity, params) for _ in range(2)]
-        self._next_reader = 0
-
-    def service_time(self, request, active_streams=1):
-        if request.kind == "read":
-            member = self._members[self._next_reader]
-            self._next_reader = 1 - self._next_reader
-            return member.service_time(request, active_streams)
-        return max(
-            member.service_time(request, active_streams)
-            for member in self._members
-        )
-
-    def reset(self):
-        for member in self._members:
-            member.reset()
-        self._next_reader = 0
-
-
-class Raid1Mirror(Device):
-    """A two-disk RAID1 mirror.
-
-    Capacity equals one member's; read throughput approaches two
-    spindles (either copy serves), writes pay the slower member.
-    """
-
-    def __init__(self, name, capacity, params=ENTERPRISE_15K):
-        super().__init__(name, capacity, [_Raid1Unit(capacity, params)])
-        self.params = params
-
-
-class _Raid5MemberUnit(DiskUnit):
-    """A RAID5 member spindle with the small-write penalty.
-
-    A small write in RAID5 is a read-modify-write: read old data, read
-    old parity, write data, write parity — four media operations across
-    two spindles.  We approximate it as a 4x positioning-and-transfer
-    penalty on the member that owns the data block, which preserves the
-    qualitative behaviour (RAID5 reads scale like RAID0 over the
-    members, RAID5 small writes are expensive).
-    """
-
-    WRITE_AMPLIFICATION = 4.0
-
-    def service_time(self, request, active_streams=1):
-        cost = super().service_time(request, active_streams)
-        if request.kind == "write":
-            cost *= self.WRITE_AMPLIFICATION
-        return cost
-
-
-class Raid5Group(Device):
-    """A RAID5 stripe set over ``n_members`` disks (one parity's worth).
-
-    Usable capacity is ``(n - 1)/n`` of the raw total.  Requests route
-    round-robin over all members like RAID0 (parity rotation spreads
-    parity I/O evenly, so modelling dedicated parity placement adds
-    nothing at this abstraction level).
-    """
-
-    def __init__(self, name, capacity, n_members,
-                 params=ENTERPRISE_15K, stripe_unit=64 * units.KIB):
-        if n_members < 3:
-            raise ValueError("RAID5 needs at least three members")
-        member_capacity = capacity // (n_members - 1)
-        members = [
-            _Raid5MemberUnit(member_capacity, params)
-            for _ in range(n_members)
-        ]
-        super().__init__(name, capacity, members)
-        self.n_members = int(n_members)
-        self.stripe_unit = int(stripe_unit)
-        self.params = params
-
-    def route(self, lba):
-        stripe = lba // self.stripe_unit
-        unit_index = stripe % self.n_members
-        unit_lba = (stripe // self.n_members) * self.stripe_unit + (
-            lba % self.stripe_unit
-        )
-        return int(unit_index), int(unit_lba)
-
-    def boundary(self, lba):
-        return self.stripe_unit - (lba % self.stripe_unit)

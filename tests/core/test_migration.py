@@ -6,6 +6,8 @@ import pytest
 from repro import units
 from repro.core.layout import Layout
 from repro.core.migration import (
+    MigrationPlan,
+    Move,
     migration_cost_seconds,
     plan_migration,
 )
@@ -93,6 +95,30 @@ def test_cost_bound_uses_busiest_target():
     # t0 reads 180 MiB; t1 writes 180 MiB: bound = 180 MiB / rate.
     seconds = migration_cost_seconds(plan, transfer_bps=units.mib(180))
     assert seconds == pytest.approx(1.0)
+
+
+def test_cost_bound_counts_targets_that_only_receive():
+    moves = [Move("a", "t0", "t2", units.mib(10)),
+             Move("b", "t1", "t2", units.mib(10))]
+    plan = MigrationPlan(
+        moves=moves, total_bytes=units.mib(20),
+        bytes_read={"t0": units.mib(10), "t1": units.mib(10)},
+        bytes_written={"t2": units.mib(20)},
+    )
+    # t2 writes 20 MiB; either source reads only 10.
+    seconds = migration_cost_seconds(plan, transfer_bps=units.mib(80))
+    assert seconds == pytest.approx(0.25)
+
+
+def test_chunks_split_each_move_in_order():
+    plan = MigrationPlan.from_moves([
+        Move("a", "t0", "t1", units.mib(2) + 5),
+        Move("b", "t2", "t0", units.mib(1)),
+    ])
+    assert plan.chunks(units.mib(1)) == [
+        ("t0", "t1", units.mib(1)), ("t0", "t1", units.mib(1)),
+        ("t0", "t1", 5), ("t2", "t0", units.mib(1)),
+    ]
 
 
 def test_advisor_migration_integration(small_problem):

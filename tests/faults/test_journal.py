@@ -7,7 +7,7 @@ import pytest
 
 from repro import units
 from repro.core.layout import Layout
-from repro.core.migration import plan_migration
+from repro.core.migration import migration_cost_seconds, plan_migration
 from repro.errors import FaultError
 from repro.faults.journal import MigrationJournal
 
@@ -37,8 +37,28 @@ def test_create_then_load_round_trip(tmp_path):
     assert loaded.remaining() == [1, 2, 4, 5, 6, 7]
     assert loaded.committed is False
     assert loaded.meta == {"predicted_util": 0.5}
+    assert loaded.plan == plan
+    assert loaded.chunks == plan.chunks(units.mib(1))
     assert loaded.matches(plan, units.mib(1))
     assert not loaded.matches(plan, units.mib(2))
+
+
+def test_reloaded_plan_costs_what_the_accepted_plan_cost(tmp_path):
+    # d0 -> d2 and d1 -> d2: d2 only receives, and it is the busiest.
+    current = Layout(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                     ["a", "b"], ["d0", "d1", "d2"])
+    target = Layout(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
+                    ["a", "b"], ["d0", "d1", "d2"])
+    plan = plan_migration(current, target,
+                          {"a": units.mib(10), "b": units.mib(10)})
+    path = str(tmp_path / "migration.jsonl")
+    MigrationJournal.create(path, plan, chunk=units.mib(1)).close()
+
+    rate = units.mib(80)
+    accepted = migration_cost_seconds(plan, transfer_bps=rate)
+    assert accepted == pytest.approx(0.25)
+    reloaded = MigrationJournal.load(path).plan
+    assert migration_cost_seconds(reloaded, transfer_bps=rate) == accepted
 
 
 def test_chunking_matches_plan_bytes(tmp_path):

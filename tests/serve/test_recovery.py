@@ -235,6 +235,89 @@ def test_deleted_tenant_stays_deleted_after_restart(tmp_path):
     assert tenants == {}
 
 
+# ----------------------------------------------------------------------
+# A create starts a new life: the deleted tenant's journals stay dead
+# ----------------------------------------------------------------------
+
+#: The conftest problem with object ``b`` renamed to ``c``.
+RENAMED = {**PROBLEM, "objects": [
+    PROBLEM["objects"][0], {**PROBLEM["objects"][1], "name": "c"},
+]}
+
+
+def _recreate_after_mid_migration_delete(state, body):
+    """Create t1, delete it while a migration is in flight, then create
+    t1 again from ``body`` over HTTP; returns the second create's
+    ``(status, payload)``, the scheduler's tenants and the service's
+    tenants."""
+    async def run():
+        frontend = HttpFrontend(make_service(state_dir=state))
+        await frontend.start()
+        service = frontend.service
+        client = ServeClient("127.0.0.1", frontend.port)
+        try:
+            await client.create_tenant(_payload(controller=SLOW_COPY))
+            _, fed = await client.feed("t1", hot_chunk(0.0, 10.0))
+            assert fed["migrating"], "expected an in-flight migration"
+            await client.request("DELETE", "/tenants/t1")
+            status, made = await client.request(
+                "POST", "/tenants", body, raise_for_status=False
+            )
+            return ((status, made), set(service.scheduler._weights),
+                    set(service.tenants))
+        finally:
+            await client.close()
+            await frontend.stop()
+
+    return asyncio.run(run())
+
+
+def test_recreated_tenant_keeps_the_layout_it_was_created_with(tmp_path):
+    (status, made), _, _ = _recreate_after_mid_migration_delete(
+        str(tmp_path / "state"), _payload(controller=SLOW_COPY)
+    )
+    assert status == 200
+    assert made["layout"] == LAYOUT
+    assert "resumed_migrations" not in made
+
+
+def test_recreated_tenant_may_name_other_objects(tmp_path):
+    layout = {"a": [1.0, 0.0], "c": [1.0, 0.0]}
+    (status, made), scheduled, tenants = \
+        _recreate_after_mid_migration_delete(
+            str(tmp_path / "state"),
+            _payload(controller=SLOW_COPY, problem=RENAMED, layout=layout),
+        )
+    assert status == 200, made
+    assert made["layout"] == layout
+    assert scheduled == tenants == {"t1"}
+
+
+def test_recreated_tenant_recovers_as_it_was_created(tmp_path):
+    state = str(tmp_path / "state")
+    layout = {"a": [1.0, 0.0], "c": [1.0, 0.0]}
+    (status, _), _, _ = _recreate_after_mid_migration_delete(
+        state, _payload(controller=SLOW_COPY, problem=RENAMED, layout=layout)
+    )
+
+    async def second():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            return service.recovery, dict(service.tenants)
+        finally:
+            await service.drain()
+
+    recovery, tenants = asyncio.run(second())
+    assert recovery["errors"] == []
+    assert recovery["recovered_tenants"] == 1
+    assert recovery["resumed_migrations"] == 0
+    assert recovery["adopted_swaps"] == 0
+    assert tenants["t1"].status()["layout"] == layout
+    assert status == 200
+    assert glob.glob(os.path.join(state, "t1", "migration-*.jsonl")) == []
+
+
 def test_wal_skipped_lines_surface_in_status(tmp_path):
     state = str(tmp_path / "state")
 
