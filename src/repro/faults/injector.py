@@ -164,6 +164,12 @@ class FaultInjector:
             self._fire(entry)
         return applied
 
+    def next_due(self):
+        """Time of the next pending fault or clear — the earliest
+        ``now`` at which :meth:`pop_due` applies anything — or None
+        when nothing is pending (or the plan is armed on an engine)."""
+        return self._pending[0].time if self._pending else None
+
     @property
     def exhausted(self):
         return not self._pending

@@ -25,9 +25,12 @@ runs.  :class:`OnlineController` is that closed loop:
 Every decision is recorded in an :class:`~repro.online.events.EventLog`.
 """
 
+import math
 import os
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -632,6 +635,14 @@ class OnlineController:
         if self.faults is not None and self.ctx is None:
             self.faults.pop_due(now)
 
+    def _next_fault_due(self):
+        """Replay mode: the earliest trace time :meth:`_poll_faults`
+        acts at (infinity when it has nothing left to apply)."""
+        if self.faults is None or self.ctx is not None:
+            return math.inf
+        due = self.faults.next_due()
+        return math.inf if due is None else due
+
     def _fitted(self, now):
         """Freshest workload estimate, falling back to the solved one.
 
@@ -866,21 +877,32 @@ class OnlineController:
         """
         if faults is not None and faults is not self.faults:
             self.attach_faults(faults)
-        records = sorted(
-            (r for r in records), key=lambda r: r.finish_time
-        )
+        records = sorted(records, key=attrgetter("finish_time"))
         if not records:
             return self.log
-        next_check = records[0].finish_time + self.config.check_interval_s
-        for record in records:
-            while record.finish_time >= next_check:
+        finish = [record.finish_time for record in records]
+        interval = self.config.check_interval_s
+        next_check = finish[0] + interval
+        start = 0
+        while True:
+            # Records before the next check and the next fault's due
+            # time see nothing happen between them: observe them as one
+            # batch.  The record at the boundary first sees due faults
+            # applied and due checks run, as it would one at a time.
+            end = bisect_left(finish, min(next_check, self._next_fault_due()),
+                              start)
+            self.monitor.observe_many(records[start:end])
+            if end == len(records):
+                break
+            now = finish[end]
+            while now >= next_check:
                 self._poll_faults(next_check)
                 self.check(next_check)
-                next_check += self.config.check_interval_s
-            self._poll_faults(record.finish_time)
-            self.monitor.observe(record)
-        last = end_time if end_time is not None else records[-1].finish_time
-        last = max(last, next_check - self.config.check_interval_s)
+                next_check += interval
+            self._poll_faults(now)
+            start = end
+        last = end_time if end_time is not None else finish[-1]
+        last = max(last, next_check - interval)
         self._poll_faults(last)
         self.check(last)
         return self.log

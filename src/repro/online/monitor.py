@@ -10,6 +10,7 @@ old phases fade out instead of polluting the estimate forever.
 """
 
 from collections import OrderedDict, defaultdict
+from operator import attrgetter
 
 from repro import units
 from repro.workload.spec import ObjectWorkload
@@ -32,22 +33,6 @@ class _DecayedObjectStats:
         self.cur_write_bytes = 0
         self.cur_runs = 0
         self._last_end = None
-
-    def add(self, record):
-        if record.kind == "read":
-            self.cur_reads += 1
-            self.cur_read_bytes += record.size
-        else:
-            self.cur_writes += 1
-            self.cur_write_bytes += record.size
-        # Run detection over the object's time-ordered request stream,
-        # the same rule the offline analyzer applies.
-        if record.logical_offset is not None:
-            if self._last_end is None or record.logical_offset != self._last_end:
-                self.cur_runs += 1
-            self._last_end = record.logical_offset + record.size
-        else:
-            self.cur_runs += 1
 
     def fold(self, decay):
         """Close the current window into the decayed aggregates."""
@@ -115,26 +100,61 @@ class WorkloadMonitor:
     # ------------------------------------------------------------------
 
     def observe(self, record):
-        """Account one completion record (engine observer entry point).
+        """Account one completion record (engine observer entry point);
+        see :meth:`observe_many`."""
+        self.observe_many((record,))
+
+    def observe_many(self, records):
+        """Account completion records in order: the one ingest loop.
 
         Records with ``obj=None`` (calibration noise, migration
         traffic) are ignored.  Timestamps are expected to be
         near-nondecreasing, as completions naturally are; a record
         older than the open window is folded into the open window.
+        Leaves the state that one :meth:`observe` call per record
+        would.
         """
-        if record.obj is None:
-            return
-        window = int(record.finish_time // self.window_s)
-        if self._window is None:
-            self._window = window
-        elif window > self._window:
-            self._roll(window)
-        self._stats[record.obj].add(record)
-        active = self._active[record.obj]
-        active[max(window, self._window)] = True
-        if len(active) > self.overlap_windows:
-            active.popitem(last=False)
-        self.observed += 1
+        window_s = self.window_s
+        stats_by_obj = self._stats
+        active_by_obj = self._active
+        limit = self.overlap_windows
+        current = self._window
+        observed = 0
+        try:
+            for record in records:
+                obj = record.obj
+                if obj is None:
+                    continue
+                window = int(record.finish_time // window_s)
+                if current is None:
+                    current = self._window = window
+                elif window > current:
+                    self._roll(window)
+                    current = window
+                stats = stats_by_obj[obj]
+                size = record.size
+                if record.kind == "read":
+                    stats.cur_reads += 1
+                    stats.cur_read_bytes += size
+                else:
+                    stats.cur_writes += 1
+                    stats.cur_write_bytes += size
+                # Run detection over the object's time-ordered request
+                # stream, the same rule the offline analyzer applies.
+                offset = record.logical_offset
+                if offset is None:
+                    stats.cur_runs += 1
+                else:
+                    if offset != stats._last_end:
+                        stats.cur_runs += 1
+                    stats._last_end = offset + size
+                active = active_by_obj[obj]
+                active[window if window > current else current] = True
+                if len(active) > limit:
+                    active.popitem(last=False)
+                observed += 1
+        finally:
+            self.observed += observed
 
     def advance(self, now):
         """Close windows up to simulated time ``now`` (controller tick)."""
@@ -322,6 +342,5 @@ class WorkloadMonitor:
 def replay_into(monitor, records):
     """Feed an iterable of completion records through a monitor in
     timestamp order; returns the monitor for chaining."""
-    for record in sorted(records, key=lambda r: r.finish_time):
-        monitor.observe(record)
+    monitor.observe_many(sorted(records, key=attrgetter("finish_time")))
     return monitor

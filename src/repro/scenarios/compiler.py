@@ -25,6 +25,7 @@ compare equal and the synthesized traces match byte for byte.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -45,6 +46,14 @@ _ACTIVE_EPS = 1e-12
 #: run, plus transfer at a nominal device bandwidth.
 _SEEK_S = {"read": 0.005, "write": 0.006}
 _TRANSFER_BPS = 150e6
+
+#: Trace rows turned into records per batch; bounds the transient
+#: per-field Python lists a synthesized trace passes through.
+_RECORD_BATCH = 1 << 14
+
+#: A record from a row tuple: the namedtuple's ``_make`` without its
+#: Python frame.
+_make_record = partial(tuple.__new__, CompletionRecord)
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,60 @@ def _mix_contributions(entry, spec, a, b):
         yield spec.mixes[entry.to_mix], w_to
     else:
         yield spec.mixes[entry.mix], _entry_multiplier_mean(entry, a, b)
+
+
+def _round9(values):
+    """``round(v, 9)`` of every element, as a float64 array.
+
+    ``rint(v·1e9)/1e9`` equals Python's correctly rounded ``round`` unless
+    the scaled product's own rounding error can carry it across a
+    half-integer; elements within 4 ulps of one (or not below 2**52,
+    or not finite) are recomputed with ``round`` itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e9
+        out = np.rint(scaled) / 1e9
+        magnitude = np.abs(scaled)
+        near_half = (np.abs(scaled - np.floor(scaled) - 0.5)
+                     <= 4.0 * np.spacing(magnitude))
+    for index in np.flatnonzero(near_half | ~(magnitude < 2.0 ** 52)):
+        out[index] = round(float(values[index]), 9)
+    return out
+
+
+def _run_pages(n_pages, run_length, count, state, rng):
+    """Page index of each of one stream's ``count`` requests in a
+    segment, and the stream's run state after them.
+
+    ``state`` is ``(page, left)``: the next page of the run in progress
+    and how many requests it has left.  A run ends after ``run_length``
+    requests or at the object's last page, and the next one starts at a
+    uniform page.  Run starts are the prefix of one
+    ``integers(0, n_pages, n)`` draw: on PCG64 a vector draw yields the
+    values of ``n`` scalar draws in order, and nothing draws from
+    ``rng`` afterwards, so drawing more starts than the runs use
+    changes no record.
+    """
+    page, left = state
+    head = max(0, min(left, n_pages - page, count))
+    if head == count:
+        return (np.arange(page, page + count, dtype=np.int64),
+                (page + count, left - count))
+    rest = count - head
+    starts = rng.integers(0, n_pages, rest)
+    lengths = np.minimum(n_pages - starts, run_length)
+    ends = np.cumsum(lengths)
+    runs = int(np.searchsorted(ends, rest)) + 1
+    starts, lengths = starts[:runs], lengths[:runs]
+    firsts = ends[:runs] - lengths
+    lengths[-1] = rest - firsts[-1]
+    pages = np.repeat(starts, lengths) + (np.arange(rest)
+                                          - np.repeat(firsts, lengths))
+    if head:
+        pages = np.concatenate(
+            [np.arange(page, page + head, dtype=np.int64), pages])
+    last = int(lengths[-1])
+    return pages, (int(starts[-1]) + last, run_length - last)
 
 
 def compile_scenario(spec, seed=None, resolution_s=DEFAULT_RESOLUTION_S):
@@ -377,13 +440,16 @@ class CompiledScenario:
         RNGs keyed by ``(seed, segment, stream)``, so the same spec and
         seed reproduce the identical record list.  ``targets`` names
         the targets records are attributed to (default: the spec's
-        targets, else a single synthetic ``t0``).
+        targets, else a single synthetic ``t0``).  The records are built
+        from numpy columns with one stable sort; DESIGN.md §12 lists
+        what keeps them equal to a record-at-a-time build.
         """
         if targets is None:
             targets = self.spec.target_names or ["t0"]
         targets = list(targets)
-        records = []
-        cursors = {}
+        columns = {"times": [], "services": [], "picks": [],
+                   "offsets": [], "streams": []}
+        run_state = {}
         for seg_index, segment in enumerate(self.segments):
             dt = segment.duration
             for key in sorted(segment.rates, key=StreamKey.sort_key):
@@ -397,49 +463,51 @@ class CompiledScenario:
                 count = int(rng.poisson(rate * dt))
                 if count == 0:
                     continue
-                times = np.sort(rng.random(count)) * dt + segment.t0
+                columns["times"].append(
+                    np.sort(rng.random(count)) * dt + segment.t0)
                 mean_service = (_SEEK_S[key.kind] / key.run_count
                                 + key.size / _TRANSFER_BPS)
-                services = rng.exponential(mean_service, count)
-                target_picks = rng.integers(0, len(targets), count)
-                records.extend(self._stream_records(
-                    key, stream_id, times, services, target_picks,
-                    targets, cursors, rng,
-                ))
-        records.sort(key=lambda r: (r.finish_time, r.stream_id,
-                                    r.logical_offset))
+                columns["services"].append(
+                    rng.exponential(mean_service, count))
+                columns["picks"].append(
+                    rng.integers(0, len(targets), count))
+                pages, run_state[key] = _run_pages(
+                    max(1, self.spec.object_sizes[key.obj] // key.size),
+                    max(1, int(round(key.run_count))), count,
+                    run_state.get(key, (0, 0)), rng,
+                )
+                columns["offsets"].append(pages * key.size)
+                columns["streams"].append(
+                    np.full(count, stream_id, dtype=np.int32))
+        if not columns["times"]:
+            return []
+        times, services, picks, offsets, streams = (
+            np.concatenate(columns.pop(name)) for name in
+            ("times", "services", "picks", "offsets", "streams"))
+        finish = _round9(times + services)
+        # Stable, so rows tied on all three keys keep generation order,
+        # as the record sort on (finish_time, stream_id, offset) did.
+        order = np.lexsort((offsets, streams, finish))
+        # One Python object per target name and per stream attribute,
+        # shared by every record that carries it.
+        target_names = np.array(targets, dtype=object)
+        keys = sorted(self._stream_ids, key=self._stream_ids.get)
+        objs = np.array([key.obj for key in keys], dtype=object)
+        kinds = np.array([key.kind for key in keys], dtype=object)
+        sizes = np.array([key.size for key in keys], dtype=object)
+        records = []
+        for start in range(0, len(order), _RECORD_BATCH):
+            rows = order[start:start + _RECORD_BATCH]
+            offset = offsets[rows].tolist()
+            stream = streams[rows]
+            records.extend(map(_make_record, zip(
+                _round9(times[rows]).tolist(), finish[rows].tolist(),
+                target_names[picks[rows]].tolist(), objs[stream].tolist(),
+                stream.tolist(), kinds[stream].tolist(),
+                offset, offset, sizes[stream].tolist(),
+                _round9(services[rows]).tolist(),
+            )))
         return records
-
-    def _stream_records(self, key, stream_id, times, services,
-                        target_picks, targets, cursors, rng):
-        object_size = self.spec.object_sizes[key.obj]
-        n_pages = max(1, object_size // key.size)
-        run_length = max(1, int(round(key.run_count)))
-        cursor, run_left = cursors.get(key, (0, 0))
-        out = []
-        for submit, service, pick in zip(times, services, target_picks):
-            if run_left <= 0 or cursor + key.size > n_pages * key.size:
-                cursor = int(rng.integers(0, n_pages)) * key.size
-                run_left = run_length
-            offset = cursor
-            cursor += key.size
-            run_left -= 1
-            submit = float(submit)
-            service = float(service)
-            out.append(CompletionRecord(
-                submit_time=round(submit, 9),
-                finish_time=round(submit + service, 9),
-                target=targets[int(pick)],
-                obj=key.obj,
-                stream_id=stream_id,
-                kind=key.kind,
-                lba=offset,
-                logical_offset=offset,
-                size=key.size,
-                service_time=round(service, 9),
-            ))
-        cursors[key] = (cursor, run_left)
-        return out
 
     def chunks(self, chunk_s, trace=None):
         """Split a (synthesized) trace into streamable time chunks.

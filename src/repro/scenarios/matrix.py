@@ -111,10 +111,15 @@ def _predicted_max_util(targets, object_sizes, workloads, layout,
     return float(problem.evaluator().objective(layout.matrix))
 
 
-def _percentile_ms(values, q):
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values), q) * 1000.0)
+def _latency_ms(trace):
+    """p50 and p99 of the trace's service times, in ms (0.0 when
+    empty)."""
+    if not trace:
+        return 0.0, 0.0
+    services = np.fromiter((record.service_time for record in trace),
+                           dtype=float, count=len(trace))
+    p50, p99 = np.percentile(services, [50, 99]) * 1000.0
+    return float(p50), float(p99)
 
 
 def run_cell(scenario_ref, controller_entry, seed=None):
@@ -141,6 +146,8 @@ def run_cell(scenario_ref, controller_entry, seed=None):
         return _predicted_max_util(problem.targets, sizes, workloads,
                                    candidate, problem.stripe_size)
 
+    latency_p50_ms, latency_p99_ms = _latency_ms(trace)
+
     cell = {
         "scenario": compiled.name,
         "controller": controller_entry["name"],
@@ -150,10 +157,8 @@ def run_cell(scenario_ref, controller_entry, seed=None):
         "records": len(trace),
         "faults": len(compiled.fault_plan),
         "tenants": len(compiled.tenant_schedule()),
-        "latency_p50_ms": _percentile_ms(
-            [r.service_time for r in trace], 50),
-        "latency_p99_ms": _percentile_ms(
-            [r.service_time for r in trace], 99),
+        "latency_p50_ms": latency_p50_ms,
+        "latency_p99_ms": latency_p99_ms,
         "util_baseline": round(predicted(baseline, layout), 4),
         "util_end_frozen": round(predicted(end_state, layout), 4),
         "resolves": 0,

@@ -40,6 +40,7 @@ uncommitted journals are resumed exactly once.
 import json
 import os
 import re
+import shutil
 
 from repro.errors import ReproError
 
@@ -377,7 +378,8 @@ def recover_state_dir(state_dir):
     Returns ``(states, errors)`` — per-tenant state dicts plus a list
     of ``(tenant_dir, error)`` for directories whose state could not be
     replayed.  One corrupt tenant must not block the rest of the fleet
-    from coming back.
+    from coming back.  A directory whose WAL ends in ``delete`` is
+    removed.
     """
     states, errors = [], []
     if state_dir is None or not os.path.isdir(state_dir):
@@ -393,4 +395,13 @@ def recover_state_dir(state_dir):
             continue
         if state is not None:
             states.append(state)
+        elif _ends_in_delete(directory):
+            # A crash landed between the delete record and the removal
+            # of the directory: finish the removal.
+            shutil.rmtree(directory, ignore_errors=True)
     return states, errors
+
+
+def _ends_in_delete(directory):
+    records, _ = read_wal(os.path.join(directory, "wal.jsonl"))
+    return bool(records) and records[-1]["kind"] == "delete"

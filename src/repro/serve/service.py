@@ -23,9 +23,10 @@ Tenant lifecycle:
   server-side control loop on a worker thread (the loop is pure Python
   bookkeeping; re-solves it decides on go back through the shared pool
   as pre-admitted jobs).
-* ``delete_tenant`` drops the tenant and fails its queued jobs;
-  anything already executing on the pool finishes and is discarded —
-  one tenant's removal never poisons the shared executor.
+* ``delete_tenant`` drops the tenant, fails its queued jobs and
+  removes its state directory; anything already executing on the pool
+  finishes and is discarded — one tenant's removal never poisons the
+  shared executor.
 
 Drain (SIGTERM): new external work is refused with 503, in-flight
 feeds and advises run to completion, in-flight *migrations* are left
@@ -263,6 +264,8 @@ class AdvisorService:
         await self.scheduler.join()
         await self.scheduler.stop()
         for tenant in self.tenants.values():
+            if tenant.deleted:
+                continue  # its delete is retiring it
             tenant.suspend()
             # A parting snapshot makes the next boot's replay trivial;
             # the suspended journal (if any) stays uncommitted on disk
@@ -666,7 +669,9 @@ class AdvisorService:
             return
         safe = {k: v for k, v in response.items() if k != "trace_id"}
         tenant = self.tenants.get(tenant_id)
-        if tenant is not None and tenant.wal is not None:
+        # A deleted tenant's WAL belongs to its retire (off the loop).
+        if tenant is not None and not tenant.deleted \
+                and tenant.wal is not None:
             tenant.wal.append("idem", key=str(key), route=route,
                               response=safe)
         self._idem[str(key)] = {"tenant": tenant_id, "route": route,
@@ -703,19 +708,21 @@ class AdvisorService:
             return replayed
         tenant = self._tenant(tenant_id)
         tenant.deleted = True
-        del self.tenants[tenant_id]
         self.scheduler.forget(tenant_id)
         self.slo.forget(tenant_id)
-        tenant.suspend()
-        if tenant.wal is not None:
-            tenant.wal.append("delete", tenant_id=tenant_id)
-            tenant.wal.close()
+        # Off the loop: a feed may hold the tenant lock while it waits
+        # on this loop for a re-solve (failed just above).  The id stays
+        # taken until the state directory is gone, so a create of the
+        # same id cannot write into a directory about to be removed.
+        await asyncio.get_running_loop().run_in_executor(None,
+                                                         tenant.retire)
+        del self.tenants[tenant_id]
         self.metrics.gauge("repro_serve_tenants").set(len(self.tenants))
         response = {"tenant": tenant_id, "deleted": True}
         if idempotency_key:
-            # In-memory only: the tenant's WAL ends with its delete
-            # record, so a replay after a *restart* answers 404 instead
-            # — an acceptable answer to "delete something gone".
+            # In-memory only: the tenant's state directory is gone, so
+            # a replay after a *restart* answers 404 instead — an
+            # acceptable answer to "delete something gone".
             self._idem[idempotency_key] = {
                 "tenant": tenant_id, "route": "delete_tenant",
                 "response": dict(response),

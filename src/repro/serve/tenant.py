@@ -24,29 +24,38 @@ incrementally, chunk by chunk, holding the clock between HTTP requests.
 """
 
 import os
+import shutil
 import threading
+from bisect import bisect_left
 from dataclasses import asdict
+from operator import attrgetter
 
 from repro.errors import ReproError
 from repro.faults.journal import MigrationJournal
 from repro.obs import Instrumentation
 from repro.online.controller import ControllerConfig, OnlineController
 from repro.serve.pool import rebuild_solve_result
+from repro.serve.scheduler import TenantGoneError
 from repro.storage.request import CompletionRecord
 from repro.workload.spec import ObjectWorkload
-from repro.workload.trace_io import _FIELDS
+from repro.workload.trace_io import _FIELDS, check_times
 
-#: Trace-chunk record fields a client may omit, with their defaults.
+#: Trace-chunk record fields a client may omit, with their defaults
+#: (``submit_time`` defaults to ``finish_time``).
 _RECORD_DEFAULTS = {
-    "submit_time": None,   # defaults to finish_time
     "target": "",
     "stream_id": 0,
     "kind": "read",
     "lba": 0,
-    "logical_offset": None,
     "size": 8192,
     "service_time": 0.0,
 }
+
+#: ``(field, default)`` in record order.
+_FIELD_DEFAULTS = tuple((field, _RECORD_DEFAULTS.get(field))
+                        for field in _FIELDS)
+
+_SUBMIT, _FINISH = _FIELDS.index("submit_time"), _FIELDS.index("finish_time")
 
 
 def records_from_payload(entries):
@@ -54,8 +63,9 @@ def records_from_payload(entries):
 
     Each entry needs ``obj`` and ``finish_time``; everything else in
     the archived-trace schema (:data:`repro.workload.trace_io._FIELDS`)
-    is optional with sensible defaults, so a thin client can stream
-    just ``{"obj": ..., "finish_time": ..., "kind": ..., "size": ...}``.
+    is optional with sensible defaults, so a thin client can stream just
+    ``{"obj": ..., "finish_time": ..., "kind": ..., "size": ...}``.
+    Both times must be finite numbers.
     """
     records = []
     for position, entry in enumerate(entries):
@@ -68,21 +78,15 @@ def records_from_payload(entries):
                 "trace chunk record %d needs 'obj' and 'finish_time'"
                 % position
             )
-        values = {}
-        for field in _FIELDS:
-            if field in entry:
-                values[field] = entry[field]
-            elif field == "obj":
-                values[field] = entry["obj"]
-            elif field == "finish_time":
-                values[field] = float(entry["finish_time"])
-            else:
-                values[field] = _RECORD_DEFAULTS[field]
-        if values["submit_time"] is None:
-            values["submit_time"] = values["finish_time"]
-        values["finish_time"] = float(values["finish_time"])
-        values["submit_time"] = float(values["submit_time"])
-        records.append(CompletionRecord(**values))
+        values = [entry.get(field, default)
+                  for field, default in _FIELD_DEFAULTS]
+        if values[_SUBMIT] is None:
+            values[_SUBMIT] = values[_FINISH]
+        check_times(values[_FINISH], values[_SUBMIT],
+                    "trace chunk record %d", position)
+        values[_FINISH] = float(values[_FINISH])
+        values[_SUBMIT] = float(values[_SUBMIT])
+        records.append(CompletionRecord._make(values))
     return records
 
 
@@ -307,26 +311,39 @@ class Tenant:
                     if rtrace is not None else None)
             self.active_rtrace = rtrace
             try:
-                records = sorted(records, key=lambda r: r.finish_time)
+                if self.deleted:
+                    raise TenantGoneError("tenant %r was deleted"
+                                          % self.tenant_id)
+                records = sorted(records, key=attrgetter("finish_time"))
                 controller = self.controller
                 if records:
-                    if (self.last_time is not None
-                            and records[0].finish_time < self.last_time):
+                    finish = [record.finish_time for record in records]
+                    if self.last_time is not None \
+                            and finish[0] < self.last_time:
                         raise ReproError(
                             "trace chunk goes back in time (%.3f < %.3f)"
-                            % (records[0].finish_time, self.last_time)
+                            % (finish[0], self.last_time)
                         )
+                    interval = self.config.check_interval_s
                     if self._next_check is None:
-                        self._next_check = (records[0].finish_time
-                                            + self.config.check_interval_s)
-                    for record in records:
-                        while record.finish_time >= self._next_check:
+                        self._next_check = finish[0] + interval
+                    start = 0
+                    while True:
+                        # The records before the next check go in as one
+                        # batch; the record at the check is observed
+                        # after the migration is pumped and the check
+                        # runs, as it was one record at a time.
+                        end = bisect_left(finish, self._next_check, start)
+                        controller.monitor.observe_many(records[start:end])
+                        if end == len(records):
+                            break
+                        while finish[end] >= self._next_check:
                             controller.pump_migration(self._next_check)
                             controller.check(self._next_check)
-                            self._next_check += self.config.check_interval_s
-                        controller.monitor.observe(record)
-                    controller.pump_migration(records[-1].finish_time)
-                    self.last_time = records[-1].finish_time
+                            self._next_check += interval
+                        start = end
+                    controller.pump_migration(finish[-1])
+                    self.last_time = finish[-1]
                     self.records_fed += len(records)
                     self.chunks_fed += 1
                     if self.wal is not None:
@@ -375,6 +392,25 @@ class Tenant:
         """Drain hook: leave any in-flight migration journaled on disk."""
         with self.lock:
             return self.controller.suspend_migration()
+
+    def retire(self):
+        """Delete hook: end the tenant's durable life.
+
+        Runs under the lock, so no feed or snapshot of this tenant
+        writes afterwards: any in-flight journal is closed, the WAL
+        gets its ``delete`` record, and once that is durable the
+        tenant's state directory is removed.  Startup recovery removes
+        a directory whose WAL ends in ``delete``, should a crash land
+        between the two.
+        """
+        with self.lock:
+            self.deleted = True
+            self.controller.suspend_migration()
+            wal, self.wal = self.wal, None
+            if wal is not None:
+                wal.append("delete", tenant_id=self.tenant_id)
+                wal.close()
+                shutil.rmtree(wal.directory, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Durability

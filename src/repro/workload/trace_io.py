@@ -9,8 +9,11 @@ totals) that a Rubicon-style characterization report shows.
 """
 
 import json
+import math
+import sys
 from collections import defaultdict
 
+from repro.errors import ReproError
 from repro.storage.request import CompletionRecord
 
 _FIELDS = (
@@ -37,18 +40,53 @@ def save_trace(trace, path):
             handle.write("\n")
 
 
+def _finite_number(value):
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def check_times(finish_time, submit_time, where, *args):
+    """Raise :class:`ReproError` naming ``where % args`` unless both of a
+    record's times are finite numbers.
+
+    Consumers advance a check clock past each record's time; an
+    infinite time is never passed and a NaN compares false with
+    everything, so such a record must not get in at all.
+    """
+    if _finite_number(finish_time) and _finite_number(submit_time):
+        return
+    field, value = (("finish_time", finish_time)
+                    if not _finite_number(finish_time)
+                    else ("submit_time", submit_time))
+    raise ReproError("%s: %s must be a finite number, got %r"
+                     % (where % args, field, value))
+
+
 def load_trace(path):
     """Read completion records from a JSON-lines file."""
     records = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
-            records.append(CompletionRecord(**{
-                field: data[field] for field in _FIELDS
-            }))
+            try:
+                data = json.loads(line)
+                values = {field: data[field] for field in _FIELDS}
+            except ValueError as error:
+                raise ReproError("%s:%d: not JSON (%s)"
+                                 % (path, number, error)) from None
+            except KeyError as error:
+                raise ReproError("%s:%d: not a trace record (missing %s)"
+                                 % (path, number, error)) from None
+            except TypeError:
+                raise ReproError("%s:%d: not a trace record (not a JSON "
+                                 "object)" % (path, number)) from None
+            check_times(values["finish_time"], values["submit_time"],
+                        "%s:%d", path, number)
+            records.append(CompletionRecord(**values))
     return records
 
 

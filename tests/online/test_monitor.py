@@ -1,6 +1,8 @@
 """Tests for the sliding-window workload monitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.online.monitor import WorkloadMonitor, replay_into
 from repro.storage.request import CompletionRecord
@@ -156,3 +158,89 @@ def test_snapshot_shape():
     snap = monitor.snapshot()
     assert set(snap) == {"a"}
     assert set(snap["a"]) == {"read_rate", "write_rate", "run_count"}
+
+
+# ----------------------------------------------------------------------
+# Batched ingest equals one record at a time
+# ----------------------------------------------------------------------
+
+def _reference_observe(monitor, record):
+    """One record, as the monitor ingested before it took batches (the
+    oracle ``observe_many`` must match)."""
+    if record.obj is None:
+        return
+    window = int(record.finish_time // monitor.window_s)
+    if monitor._window is None:
+        monitor._window = window
+    elif window > monitor._window:
+        monitor._roll(window)
+    stats = monitor._stats[record.obj]
+    if record.kind == "read":
+        stats.cur_reads += 1
+        stats.cur_read_bytes += record.size
+    else:
+        stats.cur_writes += 1
+        stats.cur_write_bytes += record.size
+    if record.logical_offset is not None:
+        if stats._last_end is None or record.logical_offset != stats._last_end:
+            stats.cur_runs += 1
+        stats._last_end = record.logical_offset + record.size
+    else:
+        stats.cur_runs += 1
+    active = monitor._active[record.obj]
+    active[max(window, monitor._window)] = True
+    if len(active) > monitor.overlap_windows:
+        active.popitem(last=False)
+    monitor.observed += 1
+
+
+#: (gap before the record, object, kind, size, offset rule, goes back).
+#: Gaps of several windows leave idle windows; a record that goes back
+#: lands before the open window.
+STEPS = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.01, 0.3, 1.7, 9.0]),
+    st.sampled_from(["a", "b", "c", None]),
+    st.sampled_from(["read", "write"]),
+    st.sampled_from([4096, 8192, 65536]),
+    st.sampled_from(["none", "next", "jump"]),
+    st.booleans(),
+), max_size=80)
+
+
+def _records(steps):
+    out, now, ends = [], 1.0, {}
+    for gap, obj, kind, size, rule, back in steps:
+        now += gap
+        offset = {"none": None, "next": ends.get(obj, 0),
+                  "jump": 7 * size}[rule]
+        if offset is not None:
+            ends[obj] = offset + size
+        out.append(_rec(now - 5.0 if back else now, obj=obj, kind=kind,
+                        size=size, offset=offset))
+    return out
+
+
+def _monitor():
+    return WorkloadMonitor(window_s=1.0, halflife_s=3.0, overlap_windows=3)
+
+
+def _digest(monitor):
+    return monitor.to_state(), {obj: list(windows) for obj, windows
+                                in monitor._active.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=STEPS, cuts=st.lists(st.integers(min_value=0, max_value=80),
+                                  max_size=8))
+def test_observe_many_equals_one_record_at_a_time(steps, cuts):
+    records = _records(steps)
+    reference, single, batched = _monitor(), _monitor(), _monitor()
+    for record in records:
+        _reference_observe(reference, record)
+        single.observe(record)
+    bounds = sorted({0, len(records)} | {c for c in cuts
+                                         if c < len(records)})
+    for start, end in zip(bounds, bounds[1:]):
+        batched.observe_many(records[start:end])
+    assert _digest(single) == _digest(reference)
+    assert _digest(batched) == _digest(reference)

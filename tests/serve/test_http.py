@@ -3,6 +3,10 @@ and malformed-request handling."""
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +217,71 @@ def test_http_honors_connection_close():
             await frontend.stop()
 
     asyncio.run(scenario())
+
+
+#: Served in a child process, because a feed that accepts an infinite
+#: time never returns: its thread spins with the tenant lock held.
+_NON_FINITE_FEED = r'''
+import asyncio, json
+from repro.serve.client import ServeClient
+from repro.serve.http import HttpFrontend
+from tests.serve.conftest import CONTROLLER, LAYOUT, PROBLEM, make_service
+
+BAD = ["1e309", "Infinity", "-Infinity", "NaN", '"inf"']
+
+
+async def post(port, path, body):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"POST %s HTTP/1.1\r\nHost: t\r\nContent-Type: "
+                 b"application/json\r\nContent-Length: %d\r\n"
+                 b"Connection: close\r\n\r\n" % (path.encode(), len(body))
+                 + body)
+    await writer.drain()
+    status = int((await reader.readline()).split()[1])
+    writer.close()
+    return status
+
+
+async def main():
+    frontend = HttpFrontend(make_service())
+    await frontend.start()
+    client = ServeClient("127.0.0.1", frontend.port)
+    try:
+        await client.create_tenant({"tenant_id": "t1", "problem": PROBLEM,
+                                    "layout": LAYOUT,
+                                    "controller": CONTROLLER})
+        out = {}
+        for value in BAD:
+            body = ('{"records": [{"obj": "a", "finish_time": 1.0}, '
+                    '{"obj": "a", "finish_time": %s}]}' % value).encode()
+            out[value] = await post(frontend.port, "/tenants/t1/trace",
+                                    body)
+        out["status"] = await client.tenant_status("t1")
+        _, out["fed"] = await client.feed("t1", [{"obj": "a",
+                                                  "finish_time": 1.0}])
+        print(json.dumps(out))
+    finally:
+        await client.close()
+        await frontend.stop()
+
+asyncio.run(main())
+'''
+
+
+def test_http_feed_with_a_non_finite_time_is_400():
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root)]))
+    run = subprocess.run([sys.executable, "-c", _NON_FINITE_FEED], cwd=root,
+                         env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    for value in ("1e309", "Infinity", "-Infinity", "NaN", '"inf"'):
+        assert out[value] == 400, value
+    # Rejected before any state changed: the good record before the bad
+    # one was not observed, and the clock never moved.
+    status = out["status"]
+    assert (status["records_fed"], status["chunks_fed"],
+            status["clock_s"]) == (0, 0, None)
+    assert out["fed"]["records_fed"] == 1

@@ -235,6 +235,131 @@ def test_deleted_tenant_stays_deleted_after_restart(tmp_path):
     assert tenants == {}
 
 
+def test_deleted_tenants_leave_no_state_directory(tmp_path):
+    state = str(tmp_path / "state")
+
+    async def cycles():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            for cycle in range(20):
+                tenant_id = "t%d" % (cycle % 3)
+                await service.create_tenant(_payload(tenant_id))
+                await service.feed_trace_chunk(tenant_id,
+                                               hot_chunk(0.0, 6.0))
+                await service.delete_tenant(tenant_id)
+                assert not os.path.exists(os.path.join(state, tenant_id))
+        finally:
+            await service.drain()
+
+    asyncio.run(cycles())
+    assert os.listdir(state) == []
+
+    async def restart():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            return service.recovery
+        finally:
+            await service.drain()
+
+    recovery = asyncio.run(restart())
+    assert recovery["recovered_tenants"] == 0
+    assert recovery["errors"] == []
+
+
+def test_a_delete_cut_short_by_a_crash_is_finished_at_startup(
+        tmp_path, monkeypatch):
+    state = str(tmp_path / "state")
+
+    async def first():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            await service.create_tenant(_payload("gone"))
+            await service.create_tenant(_payload("kept"))
+            await service.feed_trace_chunk("gone", hot_chunk(0.0, 6.0))
+            # The crash lands after the delete record is durable and
+            # before the directory is removed.
+            monkeypatch.setattr("repro.serve.tenant.shutil.rmtree",
+                                lambda *args, **kwargs: None)
+            await service.delete_tenant("gone")
+            monkeypatch.undo()
+        finally:
+            await service.drain()
+
+    asyncio.run(first())
+    assert sorted(os.listdir(state)) == ["gone", "kept"]
+
+    async def second():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            return service.recovery, set(service.tenants)
+        finally:
+            await service.drain()
+
+    recovery, tenants = asyncio.run(second())
+    assert (recovery["recovered_tenants"], recovery["errors"]) == (1, [])
+    assert tenants == {"kept"}
+    assert os.listdir(state) == ["kept"]
+
+
+#: Run in a child process: with the tenant lock taken on the event
+#: loop, this delete would wait for a feed that waits for the loop.
+_DELETE_MID_RESOLVE = r'''
+import asyncio, json, os, sys, time
+from tests.serve.conftest import hot_chunk, make_service
+from tests.serve.test_recovery import _payload
+
+STATE = sys.argv[1]
+
+
+async def main():
+    service = make_service(state_dir=STATE, workers=1, max_pending=16)
+    await service.start()
+    try:
+        await service.create_tenant(_payload())
+        # Hold the only solver slot so the feed's re-solve stays queued
+        # while the feed thread holds the tenant lock.
+        blocker = asyncio.ensure_future(service.scheduler.submit(
+            "t1", time.sleep, 1.0, preadmitted=True))
+        feed = asyncio.ensure_future(
+            service.feed_trace_chunk("t1", hot_chunk(0.0, 10.0)))
+        while not service.scheduler.pending:
+            await asyncio.sleep(0.01)
+        await service.delete_tenant("t1")
+        errors = []
+        for task in (feed, blocker):
+            try:
+                await task
+            except Exception as error:
+                errors.append(type(error).__name__)
+        print(json.dumps({"errors": errors,
+                          "left": sorted(os.listdir(STATE))}))
+    finally:
+        await service.drain()
+
+asyncio.run(main())
+'''
+
+
+def test_delete_while_a_feed_waits_on_its_resolve(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]))
+    run = subprocess.run(
+        [sys.executable, "-c", _DELETE_MID_RESOLVE, str(tmp_path / "state")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    # The feed's queued re-solve failed with the tenant, the feed let go
+    # of the lock, and the delete removed the directory.
+    assert out["errors"] == ["TenantGoneError"]
+    assert out["left"] == []
+
+
 # ----------------------------------------------------------------------
 # A create starts a new life: the deleted tenant's journals stay dead
 # ----------------------------------------------------------------------

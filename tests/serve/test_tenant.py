@@ -48,6 +48,24 @@ def test_records_from_payload_requires_obj_and_finish_time():
         records_from_payload([{"obj": "a"}])
 
 
+@pytest.mark.parametrize("field,value", [
+    ("finish_time", "1e309"), ("finish_time", "Infinity"),
+    ("finish_time", "-Infinity"), ("finish_time", "NaN"),
+    ("finish_time", '"inf"'), ("finish_time", '"1.5"'),
+    ("finish_time", "true"), ("finish_time", "null"),
+    ("submit_time", "Infinity"),
+])
+def test_records_from_payload_rejects_a_non_finite_time(field, value):
+    # Parsed as the HTTP layer parses a body: 1e309 and Infinity both
+    # load as float infinity.
+    entries = json.loads('[{"obj": "a", "finish_time": 1.0}, '
+                         '{"obj": "a", "finish_time": 2.0, "%s": %s}]'
+                         % (field, value))
+    with pytest.raises(ReproError, match="trace chunk record 1: %s must "
+                                         "be a finite number" % field):
+        records_from_payload(entries)
+
+
 # ----------------------------------------------------------------------
 # Incremental feeding
 # ----------------------------------------------------------------------

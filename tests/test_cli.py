@@ -1,6 +1,10 @@
 """Tests for the standalone CLI advisor."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,30 @@ def test_replay_online_missing_trace_is_an_error(online_problem_file,
     assert main(["replay-online", online_problem_file,
                  "/nonexistent/trace.jsonl"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+def test_replay_online_rejects_a_non_finite_time(online_problem_file,
+                                                 tmp_path, value):
+    trace = tmp_path / "trace.jsonl"
+    _write_trace(trace, [("a", 50.0, 0.0, 10.0)])
+    lines = trace.read_text().splitlines()
+    last = json.loads(lines[-1])
+    lines[-1] = json.dumps(last).replace(
+        '"finish_time": %r' % last["finish_time"], '"finish_time": ' + value)
+    trace.write_text("\n".join(lines) + "\n")
+    # A child process: a replay that accepts an infinite time never
+    # returns, so this must time out rather than hang the suite.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "replay-online",
+         online_problem_file, str(trace), "--non-regular"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 1
+    assert "trace.jsonl:%d: finish_time must be a finite number" \
+        % len(lines) in run.stderr
 
 
 # ----------------------------------------------------------------------

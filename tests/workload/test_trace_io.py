@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.storage.request import CompletionRecord
 from repro.workload.trace_io import (
     load_trace,
@@ -134,3 +135,32 @@ def test_round_trip_preserves_out_of_order_timestamps(tmp_path):
     loaded = load_trace(path)
     assert loaded == trace
     assert [r.finish_time for r in loaded] == [5.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e309",
+                                   '"inf"', "true", "null"])
+def test_load_trace_rejects_a_non_finite_time(tmp_path, value):
+    path = tmp_path / "trace.jsonl"
+    save_trace([_record(t=0.1), _record(t=0.2)], str(path))
+    good = path.read_text().splitlines()[0]
+    bad = good.replace('"finish_time": 0.1', '"finish_time": ' + value)
+    assert bad != good
+    path.write_text("\n".join([good, "", bad]) + "\n")
+    with pytest.raises(ReproError,
+                       match=r"trace\.jsonl:3: finish_time must be a "
+                             r"finite number"):
+        load_trace(str(path))
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"finish_time": 0.1', r"trace\.jsonl:2: not JSON"),
+    ('{"finish_time": 0.1}', r"trace\.jsonl:2: not a trace record "
+                             r"\(missing 'submit_time'\)"),
+    ('[1, 2]', r"trace\.jsonl:2: not a trace record \(not a JSON object\)"),
+])
+def test_load_trace_names_a_malformed_line(tmp_path, line, message):
+    path = tmp_path / "trace.jsonl"
+    save_trace([_record(t=0.1)], str(path))
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(ReproError, match=message):
+        load_trace(str(path))
