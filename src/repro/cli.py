@@ -47,15 +47,15 @@ per-target latency/byte metrics rebuilt from the trace (a ``.prom``
 extension selects Prometheus text exposition instead); ``report``
 renders a saved trace as a stage-time / cache-efficiency / convergence
 table.  ``report --request-trace`` instead renders one stitched
-serve-layer request trace — the JSON of ``GET /debug/traces/{id}`` or
-its JSONL records — as a latency breakdown plus the cross-process span
-tree.
+serve-layer request trace — the JSON of ``GET /debug/traces/{id}`` —
+as a latency breakdown plus the cross-process span tree.
 """
 
 import argparse
 import json
 import sys
 
+from repro import jsonl
 from repro.core.advisor import LayoutAdvisor
 from repro.errors import ReproError
 from repro.problem_io import load_problem
@@ -240,18 +240,11 @@ def _looks_like_event_log(path):
     instrumentation traces start with a ``{"type": "meta", ...}`` line.
     """
     try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                return (isinstance(record, dict)
-                        and "kind" in record and "seq" in record
-                        and "type" not in record)
-    except (OSError, json.JSONDecodeError):
-        pass
-    return False
+        _, first = next(jsonl.scan(path), (0, None))
+    except OSError:
+        return False
+    return (first is not None and "kind" in first and "seq" in first
+            and "type" not in first)
 
 
 def report(args):
@@ -530,7 +523,7 @@ def main(argv=None):
     report_parser.add_argument("--request-trace", action="store_true",
                                help="render a stitched serve-layer request "
                                     "trace (the JSON from GET /debug/"
-                                    "traces/{id}, or its JSONL records)")
+                                    "traces/{id})")
     report_parser.set_defaults(func=report)
 
     serve_parser = subparsers.add_parser(

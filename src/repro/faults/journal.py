@@ -18,15 +18,16 @@ Recovery replays the file: chunks recorded are done, everything else is
 (re)copied.  Re-copying a chunk whose record was lost is harmless —
 chunk writes are idempotent — which is what makes "crash after any
 chunk, resume, same final placement" a provable property rather than a
-hope.  Parsing is tolerant of a truncated final line (the one partial
-write a crash can leave behind); any other malformed line raises, since
-it means the journal itself is corrupt.
+hope.  A torn final line (the one partial write a crash can leave
+behind) is dropped, and cut before the next append (:mod:`repro.jsonl`);
+any other bad line raises, since it means the journal itself is
+corrupt.  A journal with no whole record never began: no chunk moves
+before ``begin`` is durable.
 """
 
-import json
-import os
 from dataclasses import asdict
 
+from repro import jsonl
 from repro.core.migration import MigrationPlan, Move
 from repro.errors import FaultError
 
@@ -37,20 +38,18 @@ class MigrationJournal:
     """Append-only chunk journal for one migration.
 
     Create with :meth:`create` (new migration) or :meth:`load` (crash
-    recovery); both leave the file open for appending further records.
+    recovery); further records append to the same file.
     ``plan`` is the :class:`~repro.core.migration.MigrationPlan` the
     journal describes, and ``chunks`` is ``plan.chunks(chunk)``.
     """
 
-    def __init__(self, path, plan, chunk, meta, done, committed,
-                 malformed=0):
+    def __init__(self, path, plan, chunk, meta, done, committed):
         self.path = path
         self.plan = plan
         self.chunk = int(chunk)
         self.meta = meta
         self.done = set(done)
         self.committed = committed
-        self.malformed = malformed
         self.chunks = plan.chunks(self.chunk)
         for index in self.done:
             if not 0 <= index < len(self.chunks):
@@ -58,7 +57,7 @@ class MigrationJournal:
                     "journal %s records chunk %d of %d"
                     % (path, index, len(self.chunks))
                 )
-        self._handle = None
+        self._log = jsonl.AppendLog(path)
 
     # ------------------------------------------------------------------
     # Construction
@@ -67,43 +66,32 @@ class MigrationJournal:
     @classmethod
     def create(cls, path, plan, chunk, meta=None):
         """Start a journal for ``plan`` (a MigrationPlan), overwriting
-        any stale journal at ``path``."""
+        any stale journal at ``path``; ``begin`` lands whole, by rename."""
         journal = cls(path, plan, chunk, meta or {}, done=(),
                       committed=False)
-        journal._handle = open(path, "w")
-        journal._append({
+        jsonl.replace(path, jsonl.line({
             "kind": "begin", "version": VERSION, "chunk": int(chunk),
             "moves": [asdict(move) for move in plan.moves],
             "meta": journal.meta,
-        })
+        }))
         return journal
 
     @classmethod
     def load(cls, path):
         """Parse a journal left behind by a crashed migration.
 
-        Tolerates a truncated *final* line; any other malformed line —
-        or a missing/garbled begin record — raises :class:`FaultError`.
+        Drops a torn *final* line; a journal with no whole record never
+        began and loads as None.  Any other bad line, or a first record
+        that is not a valid begin, raises :class:`FaultError`.
         """
-        with open(path) as handle:
-            lines = handle.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        records = []
-        malformed = 0
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    malformed += 1  # torn final write from the crash
-                    continue
-                raise FaultError(
-                    "journal %s is corrupt at line %d" % (path, position + 1)
-                )
-        if not records or records[0].get("kind") != "begin":
+        records, bad, torn = jsonl.read(path)
+        if len(bad) > torn:
+            raise FaultError(
+                "journal %s is corrupt at line %d" % (path, bad[0])
+            )
+        if not records:
+            return None
+        if records[0].get("kind") != "begin":
             raise FaultError("journal %s has no begin record" % path)
         begin = records[0]
         if begin.get("version") != VERSION:
@@ -127,7 +115,7 @@ class MigrationJournal:
             Move(**move) for move in begin["moves"]
         )
         return cls(path, plan, begin["chunk"], begin.get("meta", {}),
-                   done=done, committed=committed, malformed=malformed)
+                   done=done, committed=committed)
 
     # ------------------------------------------------------------------
     # State
@@ -149,13 +137,6 @@ class MigrationJournal:
     # Appending
     # ------------------------------------------------------------------
 
-    def _append(self, record):
-        if self._handle is None:
-            self._handle = open(self.path, "a")
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
     def record_chunk(self, index):
         """Mark chunk ``index`` durable (call after its write lands)."""
         if not 0 <= index < len(self.chunks):
@@ -166,15 +147,13 @@ class MigrationJournal:
         if index in self.done:
             return
         self.done.add(index)
-        self._append({"kind": "chunk", "index": int(index)})
+        self._log.append({"kind": "chunk", "index": int(index)})
 
     def record_commit(self):
         """Mark the migration committed (placement map swapped)."""
         if not self.committed:
             self.committed = True
-            self._append({"kind": "commit"})
+            self._log.append({"kind": "commit"})
 
     def close(self):
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()

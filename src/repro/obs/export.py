@@ -14,9 +14,10 @@ local extension with no Prometheus equivalent and are skipped there.
 
 import json
 
+from repro import jsonl
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, json_default as _json_default
+from repro.obs.trace import Tracer
 
 #: Format version stamped into the meta line of every trace file.
 TRACE_FORMAT = 1
@@ -48,11 +49,7 @@ def trace_records(instrumentation, meta=None):
 
 def write_trace(path, instrumentation, meta=None):
     """Write spans + metrics as one JSONL trace file."""
-    with open(path, "w") as handle:
-        for record in trace_records(instrumentation, meta=meta):
-            handle.write(json.dumps(record, default=_json_default))
-            handle.write("\n")
-    return path
+    return jsonl.write(path, trace_records(instrumentation, meta=meta))
 
 
 def read_trace(path):
@@ -62,24 +59,11 @@ def read_trace(path):
     object — the file is not (or no longer) an instrumentation trace —
     so CLI callers report one clean error instead of a traceback.
     """
-    records = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ReproError(
-                    "%s:%d: not an instrumentation trace record"
-                    % (path, number)
-                )
-            records.append(record)
-    meta = {}
-    for record in records:
-        if record.get("type") == "meta":
-            meta = record
-            break
+    records, bad, _ = jsonl.read(path)
+    if bad:
+        raise ReproError("%s:%d: not an instrumentation trace record"
+                         % (path, bad[0]))
+    meta = next((r for r in records if r.get("type") == "meta"), {})
     return TraceData(
         Tracer.from_records(records),
         MetricsRegistry.from_records(records),
@@ -91,58 +75,27 @@ def read_request_trace(path):
     """Load one stitched serve-layer request trace into a
     :class:`TraceData`.
 
-    Accepts either shape the serving layer emits:
-
-    * the JSON payload of ``GET /debug/traces/{trace_id}`` saved to a
-      file — one object with the request summary plus a ``"spans"``
-      list;
-    * JSONL records as written by
-      :meth:`~repro.serve.tracing.RequestTrace.to_records` — a
-      ``type == "request"`` meta line followed by span records.
-
-    Raises :class:`~repro.errors.ReproError` when neither shape fits,
-    so ``repro.cli report --request-trace`` reports one clean error.
+    The file is the JSON payload of ``GET /debug/traces/{trace_id}``:
+    one object with the request summary plus a ``"spans"`` list.
+    Raises :class:`~repro.errors.ReproError` when it is not, so
+    ``repro.cli report --request-trace`` reports one clean error.
     """
-    with open(path) as handle:
-        text = handle.read()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        payload = None
-    if isinstance(payload, dict) and isinstance(payload.get("spans"), list):
-        meta = {key: value for key, value in payload.items()
-                if key != "spans"}
-        records = payload["spans"]
-    else:
-        meta = {}
-        records = []
-        for number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ReproError(
-                    "%s:%d: not a request-trace record (%s)"
-                    % (path, number, error)
-                ) from None
-            if not isinstance(record, dict):
-                raise ReproError(
-                    "%s:%d: not a request-trace record" % (path, number)
-                )
-            if record.get("type") == "request" and not meta:
-                meta = record
-            else:
-                records.append(record)
-        if not meta:
-            raise ReproError(
-                '%s: no request record (type == "request") — is this a '
-                "request trace?" % path
-            )
+        with open(path) as handle:
+            payload = json.load(handle)
+    except json.JSONDecodeError as error:
+        raise ReproError("%s: not a request-trace record (%s)"
+                         % (path, error)) from None
+    if not isinstance(payload, dict) \
+            or not isinstance(payload.get("spans"), list):
+        raise ReproError(
+            '%s: no request record (an object with a "spans" list) — is '
+            "this a request trace?" % path
+        )
+    meta = {key: value for key, value in payload.items() if key != "spans"}
     return TraceData(
-        Tracer.from_records(records),
-        MetricsRegistry.from_records(records),
+        Tracer.from_records(payload["spans"]),
+        MetricsRegistry.from_records(payload["spans"]),
         meta=meta,
     )
 

@@ -14,8 +14,6 @@ convergence trajectories — which has no Prometheus equivalent and is
 exported only to JSONL.
 """
 
-import json
-
 #: Default histogram buckets, in seconds — spans request service times
 #: from SSD hits to overloaded-disk queueing.
 DEFAULT_LATENCY_BUCKETS = (
@@ -216,14 +214,6 @@ class MetricsRegistry:
                 record["points"] = instrument.points
             records.append(record)
         return records
-
-    def to_jsonl(self, path):
-        from repro.obs.trace import json_default
-
-        with open(path, "w") as handle:
-            for record in self.to_records():
-                handle.write(json.dumps(record, default=json_default))
-                handle.write("\n")
 
     @classmethod
     def from_records(cls, records):

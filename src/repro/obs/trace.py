@@ -15,19 +15,8 @@ building the keyword arguments altogether — the contract
 """
 
 import itertools
-import json
 import time
 import uuid
-
-
-def json_default(value):
-    """Coerce numpy scalars (which reach tags via solver indices) to JSON."""
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError(
-        "Object of type %s is not JSON serializable" % type(value).__name__
-    )
 
 
 class TraceContext:
@@ -312,13 +301,6 @@ class Tracer:
 
     def to_records(self):
         return [span.to_record() for span in self.spans]
-
-    def to_jsonl(self, path):
-        """Write every span as one JSON object per line."""
-        with open(path, "w") as handle:
-            for record in self.to_records():
-                handle.write(json.dumps(record, default=json_default))
-                handle.write("\n")
 
     @classmethod
     def from_records(cls, records):

@@ -825,11 +825,12 @@ class OnlineController:
         :meth:`_begin_migration` with the journal attached — chunks
         already recorded are skipped, so only the tail of the copy
         happens again.  A journal that already holds its commit record
-        needs nothing (the placement swap happened before the crash).
-        Returns the loaded journal.
+        needs nothing (the placement swap happened before the crash),
+        nor does one that never began (loaded as None).  Returns the
+        loaded journal.
         """
         journal = MigrationJournal.load(journal_path)
-        if journal.committed:
+        if journal is None or journal.committed:
             return journal
         now = self._now()
         pending = self._pending_from_journal(journal, now)

@@ -21,10 +21,10 @@ events of one control-loop iteration share a timestamp, and only the
 sequence number preserves their total order across a JSONL round-trip.
 """
 
-import json
 import warnings
 from collections import Counter
 
+from repro import jsonl
 from repro.obs import ensure_obs
 
 
@@ -80,10 +80,7 @@ class EventLog:
 
     def to_jsonl(self, path):
         """Write every event as one JSON object per line."""
-        with open(path, "w") as handle:
-            for event in self.events:
-                handle.write(json.dumps(event))
-                handle.write("\n")
+        jsonl.write(path, self.events)
 
     @classmethod
     def from_jsonl(cls, path):
@@ -94,33 +91,20 @@ class EventLog:
         ``seq`` field existed keep their file order and are assigned
         sequence numbers on load.
 
-        Parsing is tolerant: a line that is not valid JSON, or not a
-        JSON object, is skipped and counted in the returned log's
-        ``skipped`` attribute (with a one-line warning) rather than
-        aborting the load — a crashed writer leaves a torn final line,
-        and one bad line should not make a whole run's history
-        unreadable.
+        Parsing is tolerant: a line that is not a JSON object, a torn
+        final line included, is skipped and counted in the returned
+        log's ``skipped`` attribute (with a one-line warning) rather
+        than aborting the load — one bad line should not make a whole
+        run's history unreadable.
         """
         log = cls()
-        skipped = 0
-        with open(path) as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    event = None
-                if not isinstance(event, dict):
-                    skipped += 1
-                    warnings.warn(
-                        "%s:%d: skipping malformed event line" % (path, number),
-                        RuntimeWarning, stacklevel=2,
-                    )
-                    continue
-                log.events.append(event)
-        log.skipped = skipped
+        log.events, bad, _ = jsonl.read(path)
+        for number in bad:
+            warnings.warn(
+                "%s:%d: skipping malformed event line" % (path, number),
+                RuntimeWarning, stacklevel=2,
+            )
+        log.skipped = len(bad)
         for index, event in enumerate(log.events):
             event.setdefault("seq", index)
         log.events.sort(key=lambda e: e["seq"])

@@ -10,10 +10,11 @@ layer crash-recoverable with the classic database recipe:
   records every durable state transition as one fsynced JSON line —
   tenant create (with the full problem payload), config changes,
   applied trace-chunk offsets, placement swaps, idempotency records,
-  and delete.  Parsing tolerates a torn *final* line (the one partial
-  write a crash can leave behind), exactly like
-  :mod:`repro.faults.journal`; any earlier malformed line is skipped
-  and counted, never fatal — one bad line must not strand a tenant.
+  and delete.  The line format, the fsync and the torn-tail rule are
+  :mod:`repro.jsonl`'s: a torn *final* line (the one partial write a
+  crash can leave behind) is dropped, and the next append first cuts
+  it; any earlier bad line is skipped and counted, never fatal — one
+  bad line must not strand a tenant.
 * **periodic compacting snapshots**
   (``<state_dir>/<tenant>/snapshot-<n>.json``, written atomically via
   rename) fold the WAL into one self-contained state document — the
@@ -42,6 +43,7 @@ import os
 import re
 import shutil
 
+from repro import jsonl
 from repro.errors import ReproError
 
 #: Schema version stamped on every WAL record and snapshot.
@@ -64,8 +66,8 @@ class DurabilityError(ReproError):
 class TenantWAL:
     """Append-only fsync JSONL write-ahead log for one tenant.
 
-    Every :meth:`append` assigns the next sequence number, writes one
-    JSON line, flushes, and fsyncs before returning: when the call
+    Every :meth:`append` assigns the next sequence number and appends
+    one durable line (:class:`repro.jsonl.AppendLog`): when the call
     returns, the event is durable.  ``seq`` restarts relative to
     nothing — it is monotonically increasing across the tenant's whole
     life (snapshots store the last folded seq, compaction preserves the
@@ -76,7 +78,7 @@ class TenantWAL:
         self.directory = str(directory)
         self.path = os.path.join(self.directory, "wal.jsonl")
         self.seq = int(start_seq)
-        self._handle = None
+        self._log = jsonl.AppendLog(self.path)
 
     @classmethod
     def resume(cls, directory):
@@ -94,12 +96,6 @@ class TenantWAL:
             floor = max(floor, records[-1]["seq"])
         return cls(directory, start_seq=floor)
 
-    def _ensure(self):
-        if self._handle is None:
-            os.makedirs(self.directory, exist_ok=True)
-            self._handle = open(self.path, "a")
-        return self._handle
-
     def append(self, kind, **payload):
         """Durably append one record; returns its sequence number."""
         if kind not in KINDS:
@@ -107,10 +103,7 @@ class TenantWAL:
         self.seq += 1
         record = {"seq": self.seq, "kind": kind, "v": VERSION}
         record.update(payload)
-        handle = self._ensure()
-        handle.write(json.dumps(record) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+        self._log.append(record)
         return self.seq
 
     def compact(self, upto_seq):
@@ -121,69 +114,32 @@ class TenantWAL:
         after the last append).  The sequence counter survives.
         """
         tail = [r for r in read_wal(self.path)[0] if r["seq"] > upto_seq]
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as handle:
-            for record in tail:
-                handle.write(json.dumps(record) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
         self.close()
-        os.replace(tmp, self.path)
-        # Re-fsync the directory so the rename itself is durable.
-        fsync_dir(self.directory)
+        jsonl.replace(self.path, "".join(jsonl.line(r) for r in tail))
 
     def close(self):
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
 
-def fsync_dir(directory):
-    """Make renames and unlinks in ``directory`` durable (best effort:
-    a platform that cannot fsync a directory is skipped)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+def _is_wal_record(record):
+    return "seq" in record and record.get("kind") in KINDS
 
 
 def read_wal(path):
     """Parse a WAL; returns ``(records, skipped)``.
 
     A missing file is an empty log.  A torn final line (the partial
-    write of a crash) is silently dropped; any *other* malformed line
-    is skipped and counted — data loss is surfaced, not fatal.
-    Records are returned in sequence order.
+    write of a crash) is silently dropped; any *other* bad line — not
+    JSON, or a record without ``seq`` or of an unknown kind — is
+    skipped and counted: data loss is surfaced, not fatal.  Records
+    are returned in sequence order.
     """
-    if not os.path.exists(path):
+    try:
+        records, bad, torn = jsonl.read(path, check=_is_wal_record)
+    except FileNotFoundError:
         return [], 0
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    records, skipped = [], 0
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            record = None
-        if (not isinstance(record, dict) or "seq" not in record
-                or record.get("kind") not in KINDS):
-            if position == len(lines) - 1:
-                continue  # torn final write — expected after a crash
-            skipped += 1
-            continue
-        records.append(record)
     records.sort(key=lambda r: r["seq"])
-    return records, skipped
+    return records, len(bad) - torn
 
 
 # ----------------------------------------------------------------------
@@ -207,13 +163,7 @@ def write_snapshot(directory, state, keep=2):
     path = os.path.join(directory, "snapshot-%06d.json" % index)
     document = dict(state)
     document["v"] = VERSION
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(document, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    fsync_dir(directory)
+    jsonl.replace(path, json.dumps(document))
     for _, old in existing[:max(0, len(existing) + 1 - keep)]:
         try:
             os.remove(old)

@@ -43,14 +43,15 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from repro import jsonl
 from repro.errors import ReproError
 from repro.obs import Instrumentation
 from repro.obs.export import prometheus_text_multi
 from repro.obs.slo import SloEngine, SloObjective
 from repro.online.controller import ControllerConfig
 from repro.problem_io import load_problem
-from repro.serve.durability import TenantWAL, fsync_dir, \
-    recover_state_dir, write_snapshot
+from repro.serve.durability import TenantWAL, recover_state_dir, \
+    write_snapshot
 from repro.serve.pool import DeadlineError, SolverPool, advise_job, \
     resolve_job
 from repro.serve.scheduler import (AdmissionError, FairScheduler,
@@ -224,9 +225,7 @@ class AdvisorService:
         rtrace.close(status, error=error)
         self.traces.add(rtrace)
         if self.access_log is not None:
-            entry = rtrace.meta()
-            entry.pop("type", None)
-            self.access_log.write(entry)
+            self.access_log.write(rtrace.meta())
         if rtrace.route == "advise" and rtrace.tenant is not None:
             # Client errors (4xx: unknown tenant, bad options) are not
             # the service failing the tenant's objective; shed load
@@ -473,7 +472,7 @@ class AdvisorService:
         for name in stale:
             os.remove(os.path.join(directory, name))
         if stale:
-            fsync_dir(directory)
+            jsonl.fsync_dir(directory)
         wal = TenantWAL.resume(directory)
         tenant.attach_wal(wal, snapshot_every=self.config.snapshot_every,
                           snapshot_fn=self._snapshot_tenant)
@@ -617,7 +616,9 @@ class AdvisorService:
     def _reconcile_journals(self, tenant):
         """Recovery-time journal sweep; returns (resumed, adopted).
 
-        Three cases per journal: committed and already in the WAL's
+        Four cases per journal: no whole record (a crash inside its
+        begin write) — the migration never began, so the journal is
+        removed (durably); committed and already in the WAL's
         swapped list — nothing to do; committed but never swapped in
         the WAL (crash between journal commit and WAL append) — adopt
         the layout without re-copying and write the missing swap record
@@ -636,7 +637,11 @@ class AdvisorService:
                 tenant.controller._journal_seq, seq
             )
             path = os.path.join(journal_dir, name)
-            if MigrationJournal.load(path).committed:
+            journal = MigrationJournal.load(path)
+            if journal is None:
+                os.remove(path)
+                jsonl.fsync_dir(journal_dir)
+            elif journal.committed:
                 if name in tenant._swapped_journals:
                     continue
                 tenant.controller.adopt_committed_swap(path, now=now)
@@ -905,12 +910,8 @@ class AdvisorService:
 
     def debug_traces(self):
         """Summaries of the traces currently held in the debug ring."""
-        summaries = []
-        for rtrace in self.traces.traces():
-            entry = rtrace.meta()
-            entry.pop("type", None)
-            summaries.append(entry)
-        return {"capacity": self.traces.capacity, "traces": summaries}
+        return {"capacity": self.traces.capacity,
+                "traces": [rtrace.meta() for rtrace in self.traces.traces()]}
 
     def debug_trace(self, trace_id):
         """One stitched request trace, spans and all (HTTP 404 when it

@@ -22,12 +22,12 @@ finished span lands at the parent-observed arrival time (see
 :meth:`repro.obs.trace.Tracer.graft_records` for the skew rules).
 """
 
-import json
 import os
 import threading
 import time
 from collections import deque
 
+from repro import jsonl
 from repro.obs import Instrumentation, TraceContext
 
 #: Default capacity of the debug trace ring.
@@ -146,7 +146,6 @@ class RequestTrace:
         """The request-summary record (the access-log line's payload)."""
         duration = self.root.duration_s
         return {
-            "type": "request",
             "trace_id": self.trace_id,
             "route": self.route,
             "tenant": self.tenant,
@@ -163,14 +162,9 @@ class RequestTrace:
             "worker_pids": sorted(self.worker_pids),
         }
 
-    def to_records(self):
-        """JSONL records: one ``request`` meta line plus every span."""
-        return [self.meta()] + self.tracer.to_records()
-
     def to_payload(self):
         """The ``/debug/traces/<id>`` response body."""
         payload = self.meta()
-        payload.pop("type", None)
         payload["spans"] = self.tracer.to_records()
         return payload
 
@@ -211,27 +205,23 @@ class AccessLog:
 
     Lines are written whole under a lock and flushed immediately, so a
     tail -f (or the CI artifact collector) always sees complete JSON.
+    The file opens at construction: an unwritable path fails at startup.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._handle = open(self.path, "a")
+        self._log = jsonl.AppendLog(self.path, fsync=False)
+        self._log.open()
         self._lock = threading.Lock()
         self._closed = False
 
     def write(self, entry):
-        line = json.dumps(entry) + "\n"
         with self._lock:
-            if self._closed:
-                return
-            self._handle.write(line)
-            self._handle.flush()
+            if not self._closed:
+                self._log.append(entry)
 
     def close(self):
         with self._lock:
             if not self._closed:
                 self._closed = True
-                self._handle.close()
+                self._log.close()

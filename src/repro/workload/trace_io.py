@@ -8,11 +8,11 @@ compute the windowed statistics (request-rate time series, per-object
 totals) that a Rubicon-style characterization report shows.
 """
 
-import json
 import math
 import sys
 from collections import defaultdict
 
+from repro import jsonl
 from repro.errors import ReproError
 from repro.storage.request import CompletionRecord
 
@@ -32,12 +32,8 @@ _FIELDS = (
 
 def save_trace(trace, path):
     """Write completion records to a JSON-lines file."""
-    with open(path, "w") as handle:
-        for record in trace:
-            handle.write(json.dumps({
-                field: getattr(record, field) for field in _FIELDS
-            }))
-            handle.write("\n")
+    jsonl.write(path, ({field: getattr(record, field) for field in _FIELDS}
+                       for record in trace))
 
 
 def _finite_number(value):
@@ -65,28 +61,21 @@ def check_times(finish_time, submit_time, where, *args):
 
 
 def load_trace(path):
-    """Read completion records from a JSON-lines file."""
+    """Read completion records from a JSON-lines file; the first line
+    that is not a trace record raises :class:`ReproError` (``path:line``)."""
     records = []
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                values = {field: data[field] for field in _FIELDS}
-            except ValueError as error:
-                raise ReproError("%s:%d: not JSON (%s)"
-                                 % (path, number, error)) from None
-            except KeyError as error:
-                raise ReproError("%s:%d: not a trace record (missing %s)"
-                                 % (path, number, error)) from None
-            except TypeError:
-                raise ReproError("%s:%d: not a trace record (not a JSON "
-                                 "object)" % (path, number)) from None
-            check_times(values["finish_time"], values["submit_time"],
-                        "%s:%d", path, number)
-            records.append(CompletionRecord(**values))
+    for number, data in jsonl.scan(path):
+        if data is None:
+            raise ReproError("%s:%d: not a trace record (not a JSON object)"
+                             % (path, number))
+        try:
+            values = {field: data[field] for field in _FIELDS}
+        except KeyError as error:
+            raise ReproError("%s:%d: not a trace record (missing %s)"
+                             % (path, number, error)) from None
+        check_times(values["finish_time"], values["submit_time"],
+                    "%s:%d", path, number)
+        records.append(CompletionRecord(**values))
     return records
 
 

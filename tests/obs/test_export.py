@@ -10,6 +10,7 @@ malformed escape or a non-cumulative bucket must fail.
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.obs import Instrumentation
@@ -198,6 +199,17 @@ def test_jsonl_round_trip_reconstructs_span_tree(tmp_path):
     assert series.field("objective") == [2.0]
 
 
+def test_write_trace_coerces_numpy_tags(tmp_path):
+    obs = Instrumentation.on()
+    obs.tracer.finish(obs.tracer.start("a", index=np.int64(3)))
+    path = tmp_path / "trace.jsonl"
+    write_trace(str(path), obs)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["type"] for r in records] == ["meta", "span"]
+    assert records[1]["name"] == "a"
+    assert records[1]["tags"]["index"] == 3
+
+
 def test_read_trace_without_meta_line(tmp_path):
     path = tmp_path / "bare.jsonl"
     path.write_text(json.dumps(
@@ -268,13 +280,13 @@ def test_read_request_trace_debug_payload(tmp_path):
     assert [s.name for s in children[roots[0].span_id]] == ["pool.dispatch"]
 
 
-def test_read_request_trace_jsonl_records(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join([
-        json.dumps({"type": "request", "trace_id": "aa", "status": 200}),
-        json.dumps({"type": "span", "id": 1, "name": "request",
-                    "start_s": 0.0}),
-    ]) + "\n")
+def test_read_request_trace_keeps_open_spans_open(tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({
+        "trace_id": "aa", "status": 200,
+        "spans": [{"type": "span", "id": 1, "name": "request",
+                   "start_s": 0.0}],
+    }))
     trace = read_request_trace(str(path))
     assert trace.meta["trace_id"] == "aa"
     assert [s.name for s in trace.spans] == ["request"]

@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.jsonl import json_default
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
     Span,
     TraceContext,
     Tracer,
-    json_default,
 )
 
 
@@ -155,16 +155,6 @@ def test_records_round_trip_preserves_tree(tracer):
     # New spans on the rebuilt tracer do not collide with loaded ids.
     fresh = rebuilt.start("later")
     assert fresh.span_id > max(s.span_id for s in tracer.spans)
-
-
-def test_to_jsonl_writes_one_record_per_span(tracer, tmp_path):
-    tracer.finish(tracer.start("a", index=np.int64(3)))
-    path = tmp_path / "spans.jsonl"
-    tracer.to_jsonl(str(path))
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(records) == 1
-    assert records[0]["name"] == "a"
-    assert records[0]["tags"]["index"] == 3
 
 
 def test_json_default_coerces_numpy_scalars():

@@ -27,6 +27,10 @@ from tests.serve.conftest import (CONTROLLER, LAYOUT, PROBLEM, hot_chunk,
 #: migration accepted mid-trace is still in flight when we drain.
 SLOW_COPY = {**CONTROLLER, "transfer_bps": 256 * 1024}
 
+#: The checkout this file belongs to; a spawned server runs its code.
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
 
 def _create_body(tenant_id="t1"):
     return {"tenant_id": tenant_id, "problem": PROBLEM, "layout": LAYOUT,
@@ -132,7 +136,7 @@ def test_cli_serve_sigterm_drains_and_exits_cleanly(tmp_path):
          "--workers", "1", "--threads", "--feed-threads", "1",
          "--state-dir", str(tmp_path / "state")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=env, cwd="/root/repo",
+        env=env, cwd=ROOT,
     )
     try:
         banner = _read_lines_until(

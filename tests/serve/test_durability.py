@@ -4,16 +4,26 @@ crash-truncation property.
 These tests exercise :mod:`repro.serve.durability` directly — no
 service, no sockets — so the replay semantics (torn final line,
 authoritative create, exactly-once swap accounting) are pinned down
-independently of the recovery plumbing above them.
+independently of the recovery plumbing above them.  The truncation
+property covers every log that forgives a torn tail: the WAL, the
+migration journal and the controller event log, each cut at any byte
+and, where the program appends to it again, appended to after the cut.
 """
 
 import json
 import os
 import tempfile
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import units
+from repro.core.layout import Layout
+from repro.core.migration import plan_migration
+from repro.faults.journal import MigrationJournal
+from repro.online.events import EventLog
 from repro.serve.durability import (DurabilityError, TenantWAL,
                                     load_snapshot, load_tenant_state,
                                     read_wal, recover_state_dir,
@@ -204,6 +214,15 @@ def test_recover_state_dir_isolates_a_corrupt_tenant(tmp_path):
 # The crash-truncation property
 # ----------------------------------------------------------------------
 
+def _cut(path, fraction):
+    """Truncate ``path`` at ``fraction`` of its bytes, as a SIGKILL
+    mid-append may; returns the bytes kept."""
+    offset = int(fraction * os.path.getsize(path))
+    with open(path, "r+b") as handle:
+        handle.truncate(offset)
+    return offset
+
+
 def _build_walled_tenant(base, tail_kinds):
     """A tenant directory: snapshot + a WAL tail of feeds and swaps.
 
@@ -250,10 +269,7 @@ def test_wal_truncated_at_any_byte_recovers_consistently(tail_kinds, cut):
     with tempfile.TemporaryDirectory() as base:
         directory, full = _build_walled_tenant(base, tail_kinds)
         path = os.path.join(directory, "wal.jsonl")
-        size = os.path.getsize(path)
-        offset = int(cut * size)
-        with open(path, "r+b") as handle:
-            handle.truncate(offset)
+        _cut(path, cut)
 
         records, skipped = read_wal(path)
         assert skipped == 0, "a clean truncation only tears the tail"
@@ -276,3 +292,110 @@ def test_wal_truncated_at_any_byte_recovers_consistently(tail_kinds, cut):
                                         if feeds else 10)
         assert state["wal_seq"] == (records[-1]["seq"] if records
                                     else 2), "seq floor is the snapshot"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tail_kinds=st.lists(st.sampled_from(["feed", "swap"]), max_size=8),
+    cut=st.floats(0.0, 1.0),
+)
+def test_wal_cut_at_any_byte_then_appended_loses_nothing_more(
+        tail_kinds, cut):
+    """After the cut, the next life resumes the WAL and appends: the new
+    record lands after the longest surviving prefix, never glued onto a
+    torn fragment."""
+    with tempfile.TemporaryDirectory() as base:
+        directory, full = _build_walled_tenant(base, tail_kinds)
+        path = os.path.join(directory, "wal.jsonl")
+        _cut(path, cut)
+        kept, _ = read_wal(path)
+
+        wal = TenantWAL.resume(directory)
+        seq = wal.append("feed", clock_s=99.0, records_fed=999,
+                         chunks_fed=99, resolves=0)
+        wal.close()
+
+        records, skipped = read_wal(path)
+        assert skipped == 0
+        assert kept == full[: len(kept)]
+        assert records[:-1] == kept
+        assert records[-1]["seq"] == seq == (kept[-1]["seq"] if kept
+                                             else 2) + 1
+        state = load_tenant_state(directory)
+        assert (state["records_fed"], state["chunks_fed"]) == (999, 99)
+        assert state["wal_seq"] == seq and state["wal_skipped"] == 0
+        assert state["swapped_journals"] == [
+            r["journal"] for r in kept if r["kind"] == "swap"]
+
+
+def _journal_plan():
+    current = Layout(np.array([[1.0, 0.0]]), ["a"], ["t0", "t1"])
+    target = Layout(np.array([[0.0, 1.0]]), ["a"], ["t0", "t1"])
+    return plan_migration(current, target, {"a": units.mib(8)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    done=st.lists(st.integers(0, 7), max_size=8),
+    commit=st.booleans(),
+    cut=st.floats(0.0, 1.0),
+)
+def test_journal_cut_at_any_byte_then_finished_loads_whole(done, commit,
+                                                           cut):
+    """A resume loads the cut journal, records the remaining chunks and
+    the commit, and the journal it leaves loads whole.  A cut inside
+    the begin record is a migration that never began."""
+    with tempfile.TemporaryDirectory() as base:
+        path = os.path.join(base, "migration-0001.jsonl")
+        journal = MigrationJournal.create(path, _journal_plan(),
+                                          chunk=units.mib(1))
+        begin = os.path.getsize(path)
+        for index in done:
+            journal.record_chunk(index)
+        if commit:
+            journal.record_commit()
+        journal.close()
+        offset = _cut(path, cut)
+
+        loaded = MigrationJournal.load(path)
+        if loaded is None:
+            assert offset < begin, "only a cut begin never began"
+            return
+        assert loaded.done <= set(done)
+        for index in loaded.remaining():
+            loaded.record_chunk(index)
+        loaded.record_commit()
+        loaded.close()
+
+        final = MigrationJournal.load(path)
+        assert final.committed
+        assert final.remaining() == []
+        assert final.done == set(range(8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=st.integers(0, 6), cut=st.floats(0.0, 1.0))
+def test_event_log_cut_at_any_byte_loads_the_longest_prefix(events, cut):
+    log = EventLog()
+    for index in range(events):
+        log.emit(index * 0.5, "check", gain=index / 3.0, note="é" * index)
+    with tempfile.TemporaryDirectory() as base:
+        path = os.path.join(base, "events.jsonl")
+        log.to_jsonl(path)
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")[:-1]
+        offset = _cut(path, cut)
+        # A line is whole once its last byte survives the cut, newline
+        # or not; bytes past the last whole line are a torn line.
+        whole = size = 0
+        for line in lines:
+            if size + len(line) > offset:
+                break
+            size += len(line) + 1
+            whole += 1
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            loaded = EventLog.from_jsonl(path)
+        assert loaded.events == log.events[:whole]
+        assert loaded.skipped == (1 if offset > size else 0)

@@ -13,6 +13,7 @@ import glob
 import json
 import os
 import select
+import shutil
 import signal
 import subprocess
 import sys
@@ -29,6 +30,10 @@ from tests.serve.conftest import (CONTROLLER, LAYOUT, PROBLEM, hot_chunk,
 #: Copy estimate slow enough that a migration accepted mid-trace is
 #: still in flight when the incarnation dies.
 SLOW_COPY = {**CONTROLLER, "transfer_bps": 256 * 1024}
+
+#: The checkout this file belongs to; a spawned server runs its code.
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def _payload(tenant_id="t1", controller=CONTROLLER, **extra):
@@ -345,13 +350,11 @@ asyncio.run(main())
 
 
 def test_delete_while_a_feed_waits_on_its_resolve(tmp_path):
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(root, "src"), root]))
+        [os.path.join(ROOT, "src"), ROOT]))
     run = subprocess.run(
         [sys.executable, "-c", _DELETE_MID_RESOLVE, str(tmp_path / "state")],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60)
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout.splitlines()[-1])
     # The feed's queued re-solve failed with the tenant, the feed let go
@@ -488,6 +491,113 @@ def test_wal_skipped_lines_surface_in_status(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# A crash's torn final line: dropped on read, cut before the next append
+# ----------------------------------------------------------------------
+
+def _restart(state):
+    """Start a service on ``state``, drain it, return its recovery."""
+    async def run():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            return service.recovery, {
+                tenant_id: tenant.status()["layout"]
+                for tenant_id, tenant in service.tenants.items()
+            }
+        finally:
+            await service.drain()
+
+    return asyncio.run(run())
+
+
+def test_a_resume_after_a_torn_journal_line_keeps_the_journal_whole(
+        tmp_path):
+    state = str(tmp_path / "state")
+
+    async def first():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            await service.create_tenant(_payload(controller=SLOW_COPY))
+            fed = await service.feed_trace_chunk("t1", hot_chunk(0.0, 10.0))
+            assert fed["migrating"], "expected an in-flight migration"
+        finally:
+            await service.drain()
+
+    asyncio.run(first())
+    journal, = glob.glob(os.path.join(state, "t1", "migration-*.jsonl"))
+    with open(journal, "a") as handle:
+        handle.write('{"kind": "chunk", "ind')  # a SIGKILL mid-append
+
+    recovery, _ = _restart(state)
+    assert (recovery["recovered_tenants"], recovery["resumed_migrations"],
+            recovery["errors"]) == (1, 1, [])
+    # The resume's records went after the cut, not onto the fragment:
+    # every later start still finds a whole journal.
+    recovery, _ = _restart(state)
+    assert (recovery["recovered_tenants"], recovery["resumed_migrations"],
+            recovery["errors"]) == (1, 0, [])
+    with open(journal) as handle:
+        kinds = [json.loads(line)["kind"] for line in handle]
+    assert kinds[0] == "begin" and kinds.count("commit") == 1
+
+
+def test_a_create_after_a_torn_wal_line_survives_a_crash(tmp_path):
+    state = str(tmp_path / "state")
+    tenant_dir = os.path.join(state, "t1")
+    os.makedirs(tenant_dir)
+    # A SIGKILL inside the tenant's first create leaves part of a line.
+    with open(os.path.join(tenant_dir, "wal.jsonl"), "w") as handle:
+        handle.write('{"seq": 1, "kind": "create", "v": 1, "tenant_id"')
+    recovery, _ = _restart(state)
+    assert recovery["recovered_tenants"] == 0
+    crashed = str(tmp_path / "crashed")
+
+    async def recreate():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            await service.create_tenant(_payload())
+            fed = await service.feed_trace_chunk("t1", hot_chunk(0.0, 10.0))
+            assert fed["resolves"] >= 1 and not fed["migrating"]
+            # What a SIGKILL here leaves: no drain, so no snapshot.
+            shutil.copytree(state, crashed)
+            return service.tenant_status("t1")["layout"]
+        finally:
+            await service.drain()
+
+    layout = asyncio.run(recreate())
+    recovery, layouts = _restart(crashed)
+    assert (recovery["recovered_tenants"], recovery["errors"],
+            recovery["wal_skipped_lines"]) == (1, [], 0)
+    assert layouts == {"t1": layout}
+
+
+@pytest.mark.parametrize("torn", ["", '{"kind": "begin", "vers'])
+def test_a_journal_torn_inside_its_begin_never_began(tmp_path, torn):
+    state = str(tmp_path / "state")
+
+    async def first():
+        service = make_service(state_dir=state)
+        await service.start()
+        try:
+            await service.create_tenant(_payload())
+        finally:
+            await service.drain()
+
+    asyncio.run(first())
+    journal = os.path.join(state, "t1", "migration-9999.jsonl")
+    with open(journal, "w") as handle:
+        handle.write(torn)
+
+    recovery, layouts = _restart(state)
+    assert (recovery["recovered_tenants"], recovery["resumed_migrations"],
+            recovery["errors"]) == (1, 0, [])
+    assert layouts == {"t1": LAYOUT}
+    assert not os.path.exists(journal)
+
+
+# ----------------------------------------------------------------------
 # The honest version: SIGKILL a real server, no drain
 # ----------------------------------------------------------------------
 
@@ -515,7 +625,7 @@ def _spawn_serve(state_dir):
          "--workers", "2", "--threads", "--feed-threads", "2",
          "--snapshot-every", "4", "--state-dir", state_dir],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env=env, cwd="/root/repo",
+        env=env, cwd=ROOT,
     )
     banner = _read_lines_until(
         proc.stdout, lambda line: "serving on http://" in line, 30.0

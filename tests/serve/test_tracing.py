@@ -17,7 +17,7 @@ import pytest
 from repro.serve.client import ServeClient, ServeHttpError
 from repro.serve.http import HttpFrontend
 from repro.serve.service import UnknownTenantError, UnknownTraceError
-from repro.serve.tracing import RequestTrace, TraceRing
+from repro.serve.tracing import AccessLog, RequestTrace, TraceRing
 
 from tests.serve.conftest import (CONTROLLER, LAYOUT, PROBLEM, hot_chunk,
                                   make_service)
@@ -315,6 +315,13 @@ def test_access_log_is_complete_json_per_request(tmp_path):
     asyncio.run(scenario())
 
 
+def test_access_log_on_an_unwritable_path_fails_at_construction(tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    with pytest.raises(OSError):
+        AccessLog(str(blocker / "access.jsonl"))
+
+
 def test_tracing_disabled_serves_untraced():
     async def scenario():
         service = make_service(trace_requests=False)
@@ -401,10 +408,8 @@ def test_request_trace_records_round_trip_through_reader(tmp_path):
                              "end_s": 1.0}],
                   "metrics": []})
     rtrace.close(200)
-    path = tmp_path / "trace.jsonl"
-    with open(path, "w") as handle:
-        for record in rtrace.to_records():
-            handle.write(json.dumps(record) + "\n")
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(rtrace.to_payload()))
     from repro.obs.export import read_request_trace
 
     trace = read_request_trace(str(path))

@@ -532,14 +532,14 @@ def test_report_request_trace_renders_stitched_tree(tmp_path, capsys):
     assert "advise.solve" in text
 
 
-def test_report_request_trace_reads_jsonl_records(tmp_path, capsys):
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n".join([
-        json.dumps({"type": "request", "trace_id": "aa", "route": "feed",
-                    "status": 200, "duration_s": 0.1}),
-        json.dumps({"type": "span", "id": 1, "name": "request",
-                    "start_s": 0.0, "end_s": 0.1}),
-    ]) + "\n")
+def test_report_request_trace_reads_a_feed_payload(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({
+        "trace_id": "aa", "route": "feed", "status": 200,
+        "duration_s": 0.1,
+        "spans": [{"type": "span", "id": 1, "name": "request",
+                   "start_s": 0.0, "end_s": 0.1}],
+    }))
     assert main(["report", str(path), "--request-trace"]) == 0
     text = capsys.readouterr().out
     assert "request aa" in text

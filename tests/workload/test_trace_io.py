@@ -153,7 +153,8 @@ def test_load_trace_rejects_a_non_finite_time(tmp_path, value):
 
 
 @pytest.mark.parametrize("line,message", [
-    ('{"finish_time": 0.1', r"trace\.jsonl:2: not JSON"),
+    ('{"finish_time": 0.1', r"trace\.jsonl:2: not a trace record "
+                            r"\(not a JSON object\)"),
     ('{"finish_time": 0.1}', r"trace\.jsonl:2: not a trace record "
                              r"\(missing 'submit_time'\)"),
     ('[1, 2]', r"trace\.jsonl:2: not a trace record \(not a JSON object\)"),
