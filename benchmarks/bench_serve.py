@@ -8,11 +8,9 @@ sockets, one keep-alive connection per tenant:
    ``ramp``: staggered), each one's initial advise running on the
    shared pool under the bounded admission queue (429s are retried
    closed-loop and counted);
-2. **advise storm** — every tenant issues back-to-back advises, once
-   with request tracing off and once with it on: the traced run is the
-   headline p50/p99 (it is the production configuration) and the pair
-   is the tracing-overhead gate (traced p99 within 5% of untraced, or
-   within an absolute noise floor);
+2. **advise storm** — every tenant issues back-to-back advises, each
+   with a fresh seed so every one is a solve; their p50/p99 is the
+   headline;
 3. **feed** — every tenant streams a drifted trace chunk, so the
    server-side controllers run monitor → drift → re-solve on the pool;
    re-solve throughput is the pool's completed-job rate over this
@@ -20,12 +18,14 @@ sockets, one keep-alive connection per tenant:
 4. **fairness** — per-tenant charged solver seconds at equal weight;
    the spread (max/min) must stay ≤ 2× even under saturation.
 
-The traced phases also feed the per-tenant SLO engine and (with
-``--access-log``) the JSONL access log; the payload reports SLO
-attainment across tenants and the queue-wait vs solve-time p50/p99
-split recovered from the log.
+Every request is traced, so every phase feeds the per-tenant SLO
+engine and (with ``--access-log``) the JSONL access log; the payload
+reports SLO attainment across tenants and the queue-wait vs solve-time
+p50/p99 split of the storm's own advises, found in the log by the
+trace ids of their responses.
 
-Results go to ``benchmarks/results/BENCH_serve.json``.
+Results go to ``benchmarks/results/BENCH_serve.json`` and the table
+``serve.txt`` beside it (``--out`` moves both).
 """
 
 import argparse
@@ -68,12 +68,6 @@ CONTROLLER = {
 
 #: Retry pause after a 429 (closed loop: the tenant waits, not drops).
 BACKOFF_S = 0.05
-
-#: Tracing-overhead gate: traced advise p99 must stay within 5% of the
-#: untraced p99, OR within this absolute floor — small runs (CI smoke)
-#: have single-digit sample counts where a ratio alone is pure noise.
-OVERHEAD_RATIO_BOUND = 1.05
-OVERHEAD_NOISE_FLOOR_MS = 50.0
 
 
 def drifted_chunk(horizon_s=12.0):
@@ -163,7 +157,7 @@ async def run_bench(tenants=120, mode="max-rate", workers=None,
             "rate_per_s": round(tenants / create_wall, 2),
         }
 
-        # -- phase 2: advise storm, untraced then traced --------------
+        # -- phase 2: advise storm ------------------------------------
         # Every advise carries a seed no earlier advise of its tenant
         # used.  With restarts=1 the seed does not change the answer,
         # only the memo key, so each advise is a solve, not a lookup of
@@ -176,43 +170,22 @@ async def run_bench(tenants=120, mode="max-rate", workers=None,
                                          {"seed": seeds[index]})
 
         async def storm(index):
-            latencies = []
-            for _ in range(advises):
-                latency, _ = await _with_backpressure(
-                    lambda: advise(index), counters,
-                )
-                latencies.append(latency)
-            return latencies
+            return [await _with_backpressure(lambda: advise(index),
+                                             counters)
+                    for _ in range(advises)]
 
-        async def run_storm():
-            wall = time.perf_counter()
-            latencies = [s for per in await asyncio.gather(
-                *(storm(i) for i in range(tenants))) for s in per]
-            return latencies, time.perf_counter() - wall
-
-        # Identical storm twice: tracing off (baseline), then on (the
-        # production configuration and the headline numbers).
-        frontend.service.config.trace_requests = False
-        untraced, _ = await run_storm()
-        frontend.service.config.trace_requests = True
-        lat, advise_wall = await run_storm()
+        wall = time.perf_counter()
+        answers = [answer for per in await asyncio.gather(
+            *(storm(i) for i in range(tenants))) for answer in per]
+        advise_wall = time.perf_counter() - wall
+        lat = [latency for latency, _ in answers]
+        storm_ids = {body["trace_id"] for _, (_, body) in answers}
         payload["advise"] = {
             "requests": len(lat),
             "wall_s": round(advise_wall, 3),
             "p50_ms": round(percentile(lat, 0.50) * 1e3, 2),
             "p99_ms": round(percentile(lat, 0.99) * 1e3, 2),
             "throughput_rps": round(len(lat) / advise_wall, 2),
-        }
-        untraced_p99 = percentile(untraced, 0.99) * 1e3
-        traced_p99 = payload["advise"]["p99_ms"]
-        payload["tracing_overhead"] = {
-            "untraced_p50_ms": round(percentile(untraced, 0.50) * 1e3, 2),
-            "untraced_p99_ms": round(untraced_p99, 2),
-            "traced_p50_ms": payload["advise"]["p50_ms"],
-            "traced_p99_ms": traced_p99,
-            "p99_ratio": (round(traced_p99 / untraced_p99, 4)
-                          if untraced_p99 > 0 else None),
-            "p99_delta_ms": round(traced_p99 - untraced_p99, 2),
         }
 
         # -- phase 3: feed (server-side re-solves) --------------------
@@ -292,16 +265,18 @@ async def run_bench(tenants=120, mode="max-rate", workers=None,
                     max(s["worst_burn_rate"] for s in snaps), 3),
             }
 
-        # -- queue-wait vs solve-time split from the access log -------
+        # -- the storm's queue-wait vs solve-time split ---------------
+        # Only the storm's own advises, by the trace ids their responses
+        # carried: the log also holds the fairness phase's advises and
+        # every 429 the closed loop retried.
         if access_log is not None:
-            entries = [json.loads(line)
-                       for line in open(access_log).read().splitlines()]
+            with open(access_log) as handle:
+                entries = [entry for entry in map(json.loads, handle)
+                           if entry["trace_id"] in storm_ids]
             waits = [e["queue_wait_s"] for e in entries
-                     if e["route"] == "advise"
-                     and e.get("queue_wait_s") is not None]
+                     if e["queue_wait_s"] is not None]
             solves = [e["solve_s"] for e in entries
-                      if e["route"] == "advise"
-                      and e.get("solve_s") is not None]
+                      if e["solve_s"] is not None]
             if waits and solves:
                 payload["latency_breakdown"] = {
                     "advises_logged": len(waits),
@@ -345,16 +320,15 @@ def check_serve(payload, p99_bound_s=None):
         assert payload["resolve"]["throughput_per_s"] > 0, payload
     if p99_bound_s is not None:
         assert advise["p99_ms"] <= p99_bound_s * 1e3, payload
-    # Request tracing must be near-free on the advise path.
-    overhead = payload["tracing_overhead"]
-    assert (overhead["p99_ratio"] is None
-            or overhead["p99_ratio"] <= OVERHEAD_RATIO_BOUND
-            or overhead["p99_delta_ms"] <= OVERHEAD_NOISE_FLOOR_MS), payload
+    # The breakdown covers exactly the storm's advises.
+    if "latency_breakdown" in payload:
+        assert (payload["latency_breakdown"]["advises_logged"]
+                == advise["requests"]), payload
     # Every tenant's traced advises landed in an SLO window.
     assert payload["slo"]["tenants"] == payload["tenants"], payload
 
 
-def _report(payload):
+def _report(payload, directory):
     rows = [
         ["tenants (mode)", "%d (%s)" % (payload["tenants"],
                                         payload["mode"])],
@@ -370,8 +344,6 @@ def _report(payload):
         ["admission rejections (429)", "%d" % payload["rejected_429"]],
         ["fairness spread (max/min solver s)",
          "%.2f" % payload["fairness"]["spread"]],
-        ["tracing overhead (p99 traced/untraced)",
-         "%s" % (payload["tracing_overhead"]["p99_ratio"] or "n/a")],
         ["SLO attainment (tenants met / total)",
          "%d / %d" % (payload["slo"]["attained_tenants"],
                       payload["slo"]["tenants"])],
@@ -392,7 +364,7 @@ def _report(payload):
         ["Metric", "Value"], rows,
         title="Advisor-as-a-service under %d concurrent tenants"
               % payload["tenants"],
-    ))
+    ), directory=directory)
 
 
 def test_serve_bench_smoke(tmp_path):
@@ -404,7 +376,6 @@ def test_serve_bench_smoke(tmp_path):
     ))
     check_serve(payload, p99_bound_s=60.0)
     assert payload["slo"]["tenants"] == 8
-    assert payload["tracing_overhead"]["traced_p99_ms"] > 0
     split = payload["latency_breakdown"]
     assert split["advises_logged"] >= 8
     assert split["queue_wait_p99_ms"] >= 0.0
@@ -455,8 +426,7 @@ def main(argv=None):
         access_log=args.access_log,
     ))
     check_serve(payload, p99_bound_s=args.p99_bound)
-    _report(payload)
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
+    _report(payload, os.path.dirname(os.path.abspath(args.out)))
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -25,11 +25,15 @@ bound, and the post-restart advise path serves every tenant.
 The harness always passes ``--threads``: a SIGKILL'd parent cannot
 reap worker processes, and orphaned solvers would outlive the bench.
 
-Results go to ``benchmarks/results/BENCH_serve_recovery.json``.
+Results go to ``benchmarks/results/BENCH_serve_recovery.json`` and the
+table ``serve_recovery.txt`` beside it (``--out`` moves both).  Without
+``--state-dir`` the fleet's state lives in a temporary directory that
+is removed at exit.
 """
 
 import argparse
 import asyncio
+import contextlib
 import glob
 import json
 import os
@@ -37,6 +41,7 @@ import select
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 from benchmarks.conftest import RESULTS_DIR, report
@@ -420,7 +425,7 @@ def check_recovery(payload, recovery_bound_s=None):
     assert payload["clean_exit"], payload
 
 
-def _report(payload):
+def _report(payload, directory):
     rounds = payload["rounds"]
     rows = [
         ["tenants x kill cycles", "%d x %d" % (payload["tenants"],
@@ -447,7 +452,7 @@ def _report(payload):
         ["Metric", "Value"], rows,
         title="Kill-the-service drill: %d tenants, %d SIGKILLs"
               % (payload["tenants"], payload["kills"]),
-    ))
+    ), directory=directory)
 
 
 def test_serve_recovery_bench_smoke(tmp_path):
@@ -480,7 +485,8 @@ def main(argv=None):
                         metavar="SECONDS",
                         help="fail if any recovery exceeds this")
     parser.add_argument("--state-dir", default=None,
-                        help="state directory (default: a fresh tempdir)")
+                        help="state directory, kept after the run "
+                             "(default: a temporary one, removed)")
     parser.add_argument(
         "--out",
         default=os.path.join(RESULTS_DIR, "BENCH_serve_recovery.json"),
@@ -488,19 +494,18 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    if args.state_dir is not None:
-        state_dir = args.state_dir
-    else:
-        import tempfile
-        state_dir = tempfile.mkdtemp(prefix="serve-recovery-")
-    payload = run_bench(
-        state_dir, tenants=args.tenants, kills=args.kills,
-        workers=args.workers, snapshot_every=args.snapshot_every,
-        kill_after_s=args.kill_after, advises=args.advises,
-    )
+    # Absolute: the server processes run from the repository root.
+    with (contextlib.nullcontext(os.path.abspath(args.state_dir))
+          if args.state_dir is not None
+          else tempfile.TemporaryDirectory(prefix="serve-recovery-")) \
+            as state_dir:
+        payload = run_bench(
+            state_dir, tenants=args.tenants, kills=args.kills,
+            workers=args.workers, snapshot_every=args.snapshot_every,
+            kill_after_s=args.kill_after, advises=args.advises,
+        )
     check_recovery(payload, recovery_bound_s=args.recovery_bound)
-    _report(payload)
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
+    _report(payload, os.path.dirname(os.path.abspath(args.out)))
     with open(args.out, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

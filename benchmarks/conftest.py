@@ -49,10 +49,11 @@ def pytest_addoption(parser):
     )
 
 
-def report(name, text):
-    """Persist one figure's reproduction and queue it for the summary."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name + ".txt")
+def report(name, text, directory=RESULTS_DIR):
+    """Persist one figure's reproduction (``<directory>/<name>.txt``)
+    and queue it for the summary."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name + ".txt")
     with open(path, "w") as handle:
         handle.write(text + "\n")
     _REPORTS.append((name, text))

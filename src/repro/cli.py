@@ -21,7 +21,6 @@ Usage::
     python -m repro.cli serve [--port P] [--workers N] [--state-dir DIR]
         [--snapshot-every N] [--request-timeout S]
         [--default-deadline-ms MS] [--access-log FILE] [--trace-ring N]
-        [--no-request-traces]
     python -m repro.cli scenarios list
     python -m repro.cli scenarios validate FILE [FILE ...]
     python -m repro.cli experiments run matrix.yaml [--workers N]
@@ -287,7 +286,6 @@ def serve(args):
         host=args.host, port=args.port, workers=args.workers,
         use_processes=not args.threads, max_pending=args.max_pending,
         feed_threads=args.feed_threads, state_dir=args.state_dir,
-        trace_requests=not args.no_request_traces,
         trace_ring=(args.trace_ring if args.trace_ring is not None
                     else _DEFAULT_RING),
         access_log=args.access_log,
@@ -568,9 +566,6 @@ def main(argv=None):
     serve_parser.add_argument("--trace-ring", type=int, default=None,
                               help="stitched traces kept for GET /debug/"
                                    "traces (default %d)" % _DEFAULT_RING)
-    serve_parser.add_argument("--no-request-traces", action="store_true",
-                              help="disable per-request tracing and the "
-                                   "SLO latency feed")
     serve_parser.set_defaults(func=serve)
 
     scenarios_parser = subparsers.add_parser(

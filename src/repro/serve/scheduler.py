@@ -171,9 +171,9 @@ class FairScheduler:
 
         ``rtrace`` (a :class:`~repro.serve.tracing.RequestTrace`) makes
         the job part of that request's distributed trace: the queue
-        wait and pool dispatch become spans, the worker result's obs
-        payload is grafted under the dispatch span, and the trace's
-        ``queue_wait_s`` / ``solve_s`` / ``rung`` slots are filled.
+        wait and pool dispatch become spans (the dispatch span tagged
+        with the watchdog rung), and the worker result's obs payload is
+        grafted under the dispatch span.
 
         ``deadline`` (absolute ``time.perf_counter()`` seconds) sheds
         the job with :class:`~repro.serve.pool.DeadlineError` — at
@@ -267,9 +267,7 @@ class FairScheduler:
         dispatch_span = None
         args = job.args
         if rtrace is not None:
-            rtrace.queue_wait_s = started - job.enqueued_s
-            rtrace.finish(job.queue_span,
-                          wait_s=round(rtrace.queue_wait_s, 6))
+            rtrace.finish(job.queue_span)
             dispatch_span = rtrace.start(
                 "pool.dispatch",
                 job=getattr(job.fn, "__name__", str(job.fn)),
@@ -307,10 +305,8 @@ class FairScheduler:
                 dispatch_span.set_tag("error", type(error).__name__)
             rtrace.finish(dispatch_span)
             if isinstance(result, dict):
-                rtrace.solve_s = float(result.get("solver_time_s", elapsed))
                 rung = result.get("rung")
                 if rung:
-                    rtrace.rung = rung
                     dispatch_span.set_tag("rung", rung)
                 # Stitch the worker's span tree under the dispatch span
                 # (anchored at result arrival) and fold its counters

@@ -35,6 +35,7 @@ dir finishes them), and only then do the scheduler and pool shut down.
 """
 
 import asyncio
+import contextlib
 import copy
 import dataclasses
 import json
@@ -45,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import jsonl
 from repro.errors import ReproError
-from repro.obs import Instrumentation
+from repro.obs import MetricsRegistry
 from repro.obs.export import prometheus_text_multi
 from repro.obs.slo import SloEngine, SloObjective
 from repro.online.controller import ControllerConfig
@@ -144,9 +145,6 @@ class ServeConfig:
         default_deadline_s: Deadline stamped on advise/create solver
             work when the request carries no ``X-Deadline-Ms`` header;
             ``None`` means no deadline unless the client asks.
-        trace_requests: Record a stitched cross-process trace per
-            external request (``False`` disables request tracing;
-            solver jobs then run uninstrumented).
         trace_ring: How many finished request traces the
             ``/debug/traces`` ring retains.
         access_log: Path for the JSONL access log (one line per
@@ -167,7 +165,6 @@ class ServeConfig:
     snapshot_every: int = 16
     request_timeout_s: float = 30.0
     default_deadline_s: float = None
-    trace_requests: bool = True
     trace_ring: int = DEFAULT_RING
     access_log: str = None
     slo: dict = None
@@ -178,8 +175,7 @@ class AdvisorService:
 
     def __init__(self, config=None):
         self.config = config or ServeConfig()
-        self.obs = Instrumentation.on()
-        self.metrics = self.obs.metrics
+        self.metrics = MetricsRegistry()
         self.tenants = {}
         self.draining = False
         self.started_s = time.time()
@@ -209,32 +205,55 @@ class AdvisorService:
     # ------------------------------------------------------------------
 
     def begin_trace(self, route, tenant=None):
-        """A :class:`RequestTrace` for one external request, or None
-        when request tracing is disabled."""
-        if not self.config.trace_requests:
-            return None
+        """The :class:`RequestTrace` of one external request."""
         return RequestTrace(route, tenant=tenant)
 
     def end_trace(self, rtrace, status=200, error=None):
         """Finalize a request trace: close the root span, publish to
-        the debug ring and access log, and feed the SLO engine.
-        Idempotent — the first close wins, so a service method that
-        owns its trace and the HTTP layer can both call this safely."""
-        if rtrace is None or rtrace.closed:
+        the debug ring and access log, and feed the root span's
+        duration to the SLO engine and, for a served advise, the advise
+        latency histogram.  Idempotent — the first close wins, so a
+        service method that owns its trace and the HTTP layer can both
+        call this safely."""
+        if rtrace.closed:
             return
         rtrace.close(status, error=error)
         self.traces.add(rtrace)
         if self.access_log is not None:
             self.access_log.write(rtrace.meta())
         if rtrace.route == "advise" and rtrace.tenant is not None:
+            code = rtrace.status
+            if code == 200:
+                self.metrics.histogram("repro_serve_advise_seconds") \
+                    .observe(rtrace.duration_s)
             # Client errors (4xx: unknown tenant, bad options) are not
             # the service failing the tenant's objective; shed load
             # (429) likewise consumes no error budget here — it shows
             # up in the rejected counter instead.
-            code = rtrace.status if rtrace.status is not None else 500
             if code < 400 or code >= 500:
-                self.slo.observe(rtrace.tenant, rtrace.duration_s or 0.0,
+                self.slo.observe(rtrace.tenant, rtrace.duration_s,
                                  error=code >= 500)
+
+    @contextlib.contextmanager
+    def _traced(self, rtrace, route, tenant=None):
+        """One request's lifecycle around a ``with`` block.
+
+        The HTTP layer passes its ``rtrace`` in and finalizes it itself
+        after serializing the response.  Called without one (tests,
+        embedded use), the service opens the trace here and finalizes
+        it on the way out, with the error's status when the block
+        raises.
+        """
+        if rtrace is not None:
+            yield rtrace
+            return
+        rtrace = self.begin_trace(route, tenant=tenant)
+        try:
+            yield rtrace
+        except BaseException as error:
+            self.end_trace(rtrace, status_for(error), error=error)
+            raise
+        self.end_trace(rtrace)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -340,22 +359,13 @@ class AdvisorService:
         """Admit a tenant; returns its id, layout, and resume count.
 
         Like :meth:`advise`, the service owns the request trace when
-        called without ``rtrace`` (tests, embedded use); the HTTP layer
-        passes one in and finalizes it after serialization.
+        called without ``rtrace`` (see :meth:`_traced`).
         """
-        owned = rtrace is None
-        if owned:
-            rtrace = self.begin_trace("create_tenant")
-        try:
+        with self._traced(rtrace, "create_tenant") as rtrace:
             response = await self._create_tenant(payload, rtrace,
                                                  deadline,
                                                  idempotency_key)
-        except BaseException as error:
-            if owned:
-                self.end_trace(rtrace, status_for(error), error=error)
-            raise
-        if owned:
-            self.end_trace(rtrace)
+            response["trace_id"] = rtrace.trace_id
         return response
 
     async def _create_tenant(self, payload, rtrace, deadline=None,
@@ -400,9 +410,8 @@ class AdvisorService:
             payload.get("slo"), default=self.slo.default_objective
         )
         weight = float(payload.get("weight", 1.0))
-        if rtrace is not None:
-            rtrace.tenant = tenant_id
-            rtrace.root.set_tag("tenant", tenant_id)
+        rtrace.tenant = tenant_id
+        rtrace.root.set_tag("tenant", tenant_id)
         self.scheduler.register(tenant_id, weight=weight)
         try:
             if "layout" in payload:
@@ -435,8 +444,6 @@ class AdvisorService:
         }
         self._record_idempotency(idempotency_key, tenant_id,
                                  "create_tenant", response)
-        if rtrace is not None:
-            response["trace_id"] = rtrace.trace_id
         return response
 
     @staticmethod
@@ -529,7 +536,6 @@ class AdvisorService:
         corrupt tenant is reported and skipped, never fatal.
         """
         started = time.perf_counter()
-        span = self.obs.tracer.start("service.recover")
         states, errors = recover_state_dir(self.config.state_dir)
         errors = [(directory, error) for directory, error in errors]
         recovered = resumed = adopted = 0
@@ -563,8 +569,6 @@ class AdvisorService:
         self.metrics.gauge("repro_recovery_wal_skipped_lines").set(
             skipped_lines)
         self.metrics.gauge("repro_recovery_errors").set(len(errors))
-        self.obs.tracer.finish(span, tenants=recovered, resumed=resumed,
-                               adopted=adopted, errors=len(errors))
         return self.recovery
 
     def _recover_tenant(self, state):
@@ -753,18 +757,14 @@ class AdvisorService:
         ``memo=miss``.
 
         Called without ``rtrace`` (tests, embedded use) the service
-        owns the request trace end to end; the HTTP layer passes one in
-        and finalizes it itself after serializing the response.
+        owns the request trace end to end (see :meth:`_traced`).
 
         ``deadline`` (absolute ``time.perf_counter()`` seconds, as
         minted by :meth:`deadline_from`) sheds a miss's solver job once
         expired and clamps its watchdog budget to whatever remains.
         """
         self._check_open()
-        owned = rtrace is None
-        if owned:
-            rtrace = self.begin_trace("advise", tenant=tenant_id)
-        try:
+        with self._traced(rtrace, "advise", tenant_id) as rtrace:
             tenant = self._tenant(tenant_id)
             merged = self._advise_options(tenant.config, options)
             controller = tenant.controller
@@ -783,17 +783,13 @@ class AdvisorService:
             outcome = "hit" if hit else "miss"
             self.metrics.counter("repro_serve_advise_memo_total",
                                  outcome=outcome).inc()
-            if rtrace is not None:
-                rtrace.root.set_tag("memo", outcome)
-            started = time.perf_counter()
+            rtrace.root.set_tag("memo", outcome)
             if hit:
                 answer = memo[3]
             else:
-                admission = (rtrace.start("admission.wait")
-                             if rtrace is not None else None)
+                admission = rtrace.start("admission.wait")
                 problem = controller._problem(baseline)
-                if admission is not None:
-                    rtrace.finish(admission)
+                rtrace.finish(admission)
                 out = await self.scheduler.submit(tenant_id, advise_job,
                                                   problem, merged,
                                                   rtrace=rtrace,
@@ -807,17 +803,7 @@ class AdvisorService:
                                           answer)
             response = copy.deepcopy(answer)
             tenant.advises += 1
-            self.metrics.histogram("repro_serve_advise_seconds").observe(
-                time.perf_counter() - started
-            )
-        except BaseException as error:
-            if owned:
-                self.end_trace(rtrace, status_for(error), error=error)
-            raise
-        if rtrace is not None:
             response["trace_id"] = rtrace.trace_id
-        if owned:
-            self.end_trace(rtrace)
         return response
 
     async def feed_trace_chunk(self, tenant_id, entries, rtrace=None,
@@ -829,13 +815,10 @@ class AdvisorService:
         instead of advancing the tenant's clock twice.
         """
         self._check_open()
-        replayed = self._idempotent_replay(idempotency_key)
-        if replayed is not None:
-            return replayed
-        owned = rtrace is None
-        if owned:
-            rtrace = self.begin_trace("feed", tenant=tenant_id)
-        try:
+        with self._traced(rtrace, "feed", tenant_id) as rtrace:
+            replayed = self._idempotent_replay(idempotency_key)
+            if replayed is not None:
+                return dict(replayed, trace_id=rtrace.trace_id)
             tenant = self._tenant(tenant_id)
             records = records_from_payload(entries)
             self.metrics.counter("repro_serve_records_total").inc(
@@ -844,18 +827,9 @@ class AdvisorService:
             loop = asyncio.get_running_loop()
             result = await loop.run_in_executor(self._feeds, tenant.feed,
                                                 records, rtrace)
-        except BaseException as error:
-            if owned:
-                self.end_trace(rtrace, status_for(error), error=error)
-            raise
-        self._record_idempotency(idempotency_key, tenant_id, "feed",
-                                 result)
-        if rtrace is not None:
-            result = dict(result)
-            result["trace_id"] = rtrace.trace_id
-        if owned:
-            self.end_trace(rtrace)
-        return result
+            self._record_idempotency(idempotency_key, tenant_id, "feed",
+                                     result)
+        return dict(result, trace_id=rtrace.trace_id)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -892,7 +866,6 @@ class AdvisorService:
                 "generation": self.pool.generation,
             },
             "tracing": {
-                "enabled": bool(self.config.trace_requests),
                 "ring": len(self.traces),
                 "ring_capacity": self.traces.capacity,
                 "access_log": (self.access_log.path

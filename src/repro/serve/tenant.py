@@ -32,7 +32,7 @@ from operator import attrgetter
 
 from repro.errors import ReproError
 from repro.faults.journal import MigrationJournal
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, MetricsRegistry
 from repro.online.controller import ControllerConfig, OnlineController
 from repro.serve.pool import rebuild_solve_result
 from repro.serve.scheduler import TenantGoneError
@@ -258,7 +258,10 @@ class Tenant:
         self.problem_payload = problem_payload
         self.controller_overrides = dict(controller_overrides or {})
         self.weight = float(weight)
-        self.obs = Instrumentation.on()
+        #: Metrics only: ``/metrics`` exports them, and no reader
+        #: exists for controller spans, which would pile up for the
+        #: tenant's whole life.
+        self.obs = Instrumentation(metrics=MetricsRegistry())
         self.config = config or ControllerConfig()
         sizes = {name: int(size) for name, size in
                  zip(problem.object_names, problem.sizes)}

@@ -2,13 +2,15 @@
 
 One external request — an advise, a trace-chunk feed, a tenant create —
 gets one :class:`RequestTrace`: a private live tracer whose root span
-covers the whole request, a :class:`~repro.obs.TraceContext` that rides
-into solver-pool jobs as a plain dict, and slots for the breakdown the
-access log and the SLO engine need (queue wait, solve time, watchdog
-rung).  Keeping the tracer per-request means the hot serving path never
-contends on one shared span list, and a finished trace is a
-self-contained artifact: the ring buffer and ``/debug/traces/<id>`` can
-hand it out without touching live service state.
+covers the whole request, and a :class:`~repro.obs.TraceContext` that
+rides into solver-pool jobs as a plain dict.  The span tree is the
+request's only record: the breakdown the access log, the debug ring
+and the SLO engine report (queue wait, solve time, watchdog rung,
+worker pids) is read from it, never set beside it.  Keeping the tracer
+per-request means the hot serving path never contends on one shared
+span list, and a finished trace is a self-contained artifact: the ring
+buffer and ``/debug/traces/<id>`` can hand it out without touching
+live service state.
 
 Threading: the HTTP handler and the scheduler touch a request's trace
 from the event loop; feed work touches it from a tenant worker thread —
@@ -33,6 +35,9 @@ from repro.obs import Instrumentation, TraceContext
 #: Default capacity of the debug trace ring.
 DEFAULT_RING = 64
 
+#: Root span names of a solver-pool job's worker-side tree.
+WORKER_ROOTS = ("worker.advise", "worker.resolve")
+
 
 class RequestTrace:
     """The stitched cross-process trace of one request.
@@ -51,10 +56,6 @@ class RequestTrace:
         self.tenant = tenant
         self.status = None
         self.error = None
-        self.queue_wait_s = None
-        self.solve_s = None
-        self.rung = None
-        self.worker_pids = set()
         self.started_unix = time.time()
         self._closed = False
         tags = {"trace_id": self.trace_id, "route": self.route,
@@ -75,11 +76,6 @@ class RequestTrace:
 
     def finish(self, span, **tags):
         return self.tracer.finish(span, **tags)
-
-    def event(self, name, **tags):
-        span = self.start(name, **tags)
-        span.end_s = span.start_s
-        return span
 
     # -- cross-process propagation --------------------------------------
 
@@ -105,7 +101,6 @@ class RequestTrace:
         )
         pid = obs_payload.get("pid")
         if pid is not None:
-            self.worker_pids.add(int(pid))
             attach_id = (parent if parent is not None
                          else self.root).span_id
             for span in spans:
@@ -140,10 +135,34 @@ class RequestTrace:
     def duration_s(self):
         return self.root.duration_s
 
+    @property
+    def rung(self):
+        """The last watchdog rung tagged on a ``pool.dispatch`` span."""
+        rungs = [span.tags["rung"] for span in self.tracer.find(
+            "pool.dispatch") if "rung" in span.tags]
+        return rungs[-1] if rungs else None
+
+    @property
+    def worker_pids(self):
+        """The ``pid`` tags of the grafted worker root spans."""
+        return {int(span.tags["pid"]) for span in self.tracer.spans
+                if span.name in WORKER_ROOTS and "pid" in span.tags}
+
     # -- serialization --------------------------------------------------
 
+    def _total_s(self, *names):
+        """The summed duration of the finished spans with these names,
+        or None when there is none (a memo hit queues and solves
+        nothing)."""
+        durations = [span.duration_s for span in self.tracer.spans
+                     if span.name in names and span.end_s is not None]
+        return round(sum(durations), 6) if durations else None
+
     def meta(self):
-        """The request-summary record (the access-log line's payload)."""
+        """The request-summary record (the access-log line's payload).
+        Every time in it is read off the span tree: queue wait sums the
+        ``scheduler.queue`` spans (a job shed from the queue counts its
+        wait), solve time the worker root spans."""
         duration = self.root.duration_s
         return {
             "trace_id": self.trace_id,
@@ -154,10 +173,8 @@ class RequestTrace:
             "unix_time": round(self.started_unix, 6),
             "duration_s": (round(duration, 6) if duration is not None
                            else None),
-            "queue_wait_s": (round(self.queue_wait_s, 6)
-                             if self.queue_wait_s is not None else None),
-            "solve_s": (round(self.solve_s, 6)
-                        if self.solve_s is not None else None),
+            "queue_wait_s": self._total_s("scheduler.queue"),
+            "solve_s": self._total_s(*WORKER_ROOTS),
             "rung": self.rung,
             "worker_pids": sorted(self.worker_pids),
         }

@@ -266,3 +266,27 @@ def test_metrics_text_labels_each_tenant_once():
             await service.drain()
 
     asyncio.run(scenario())
+
+
+def test_tenants_keep_metrics_but_record_no_spans():
+    """Nothing reads a served controller's spans, so a tenant keeps
+    none however long it is fed; its counters still reach /metrics."""
+    async def scenario():
+        service = make_service()
+        await service.start()
+        try:
+            await service.create_tenant(_payload("t1"))
+            for start in range(0, 100, 20):
+                await service.feed_trace_chunk(
+                    "t1", hot_chunk(float(start), start + 20.0))
+            tenant = service.tenants["t1"]
+            assert tenant.chunks_fed == 5
+            assert list(tenant.obs.tracer.spans) == []
+            text = service.metrics_text()
+            assert "repro_online_events_total{" in text
+            assert 'repro_online_resolves_total{decision="accept",' \
+                'tenant="t1"}' in text
+        finally:
+            await service.drain()
+
+    asyncio.run(scenario())

@@ -20,7 +20,7 @@ from repro.serve.service import UnknownTenantError, UnknownTraceError
 from repro.serve.tracing import AccessLog, RequestTrace, TraceRing
 
 from tests.serve.conftest import (CONTROLLER, LAYOUT, PROBLEM, hot_chunk,
-                                  make_service)
+                                  make_service, trace_records)
 
 
 def _payload(tenant_id, layout=LAYOUT, **extra):
@@ -199,6 +199,42 @@ def test_feed_resolve_joins_the_feed_trace():
     asyncio.run(scenario())
 
 
+def test_feed_access_log_times_every_solver_job(tmp_path):
+    """A chunk whose phases flip the hot object drives several
+    re-solves; the access log sums every job's queue wait and solve
+    time, exactly as the request's spans record them."""
+    chunk = []
+    for phase in range(4):
+        start, end = 40.0 * phase, 40.0 * (phase + 1)
+        hot, cold = ("a", "b") if phase % 2 == 0 else ("b", "a")
+        chunk += (trace_records(hot, start, end, rate=200.0)
+                  + trace_records(cold, start, end, rate=20.0))
+    chunk.sort(key=lambda record: record["finish_time"])
+    log_path = str(tmp_path / "access.jsonl")
+
+    async def scenario():
+        service = make_service(access_log=log_path)
+        await service.start()
+        try:
+            await service.create_tenant(_payload("t1"))
+            fed = await service.feed_trace_chunk("t1", chunk)
+            return service.traces.get(fed["trace_id"])
+        finally:
+            await service.drain()
+
+    rtrace = asyncio.run(scenario())
+    with open(log_path) as handle:
+        line = [json.loads(text) for text in handle][-1]
+    assert line["trace_id"] == rtrace.trace_id
+    workers = rtrace.tracer.find("worker.resolve")
+    queues = rtrace.tracer.find("scheduler.queue")
+    assert len(workers) >= 2 and len(queues) == len(workers)
+    assert line["solve_s"] == pytest.approx(
+        sum(span.duration_s for span in workers), abs=1e-6)
+    assert line["queue_wait_s"] == pytest.approx(
+        sum(span.duration_s for span in queues), abs=1e-6)
+
+
 # -- ring, access log, SLO feed -----------------------------------------
 
 def test_debug_ring_serves_and_evicts_traces():
@@ -320,27 +356,6 @@ def test_access_log_on_an_unwritable_path_fails_at_construction(tmp_path):
     blocker.write_text("")
     with pytest.raises(OSError):
         AccessLog(str(blocker / "access.jsonl"))
-
-
-def test_tracing_disabled_serves_untraced():
-    async def scenario():
-        service = make_service(trace_requests=False)
-        await service.start()
-        try:
-            await service.create_tenant(_payload("t1"))
-            answer = await service.advise("t1")
-            assert "trace_id" not in answer
-            assert len(service.traces) == 0
-            assert service.begin_trace("advise") is None
-            status = service.status()
-            assert status["tracing"]["enabled"] is False
-            # SLO reporting still answers (empty windows, no latencies).
-            assert service.slo_report()["tenants"]["t1"]\
-                ["window_requests"] == 0
-        finally:
-            await service.drain()
-
-    asyncio.run(scenario())
 
 
 # -- HTTP surface -------------------------------------------------------
