@@ -455,15 +455,22 @@ def _report(payload, directory):
     ), directory=directory)
 
 
-def test_serve_recovery_bench_smoke(tmp_path):
-    """CI smoke: a small fleet through two kill cycles."""
-    payload = run_bench(str(tmp_path / "state"), tenants=4, kills=2,
-                        workers=2, kill_after_s=0.5)
-    check_recovery(payload, recovery_bound_s=30.0)
+def test_serve_recovery_bench_smoke(tmp_path, monkeypatch):
+    """CI smoke: a small fleet through two kill cycles, through ``main``
+    with a bare ``--out`` name and the default temporary state dir."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main([
+        "--tenants", "4", "--kills", "2", "--workers", "2",
+        "--kill-after", "0.5", "--recovery-bound", "30",
+        "--out", "BENCH_serve_recovery.json",
+    ]) == 0
+    payload = json.loads(
+        (tmp_path / "BENCH_serve_recovery.json").read_text())
+    assert payload["benchmark"] == "serve_recovery"
     assert payload["duplicate_migrations"] == 0
-    out = tmp_path / "BENCH_serve_recovery.json"
-    out.write_text(json.dumps(payload, indent=2))
-    assert json.loads(out.read_text())["benchmark"] == "serve_recovery"
+    assert (tmp_path / "serve_recovery.txt").is_file()
+    assert not list(tmp_path.glob("serve-recovery-*"))
 
 
 def main(argv=None):

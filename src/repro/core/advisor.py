@@ -40,8 +40,8 @@ class AdvisorResult:
             fallback rung answered — the layout is valid but weaker
             than an unconstrained solve would give.
         watchdog_rung: Which watchdog rung produced ``solver``
-            (``portfolio`` / ``serial`` / ``greedy``; empty when no
-            budget was set).
+            (``portfolio`` / ``partitioned`` / ``serial`` / ``greedy``;
+            empty when no budget was set).
     """
 
     initial: Layout
@@ -124,11 +124,12 @@ class LayoutAdvisor:
             deterministic per-restart seeds.
         solve_budget_s: Optional wall-clock budget for the solve step.
             When set, the solve runs under
-            :func:`~repro.core.watchdog.solve_with_watchdog` and falls
-            back portfolio → partitioned → serial → greedy rather than
-            overrunning;
-            the result's ``degraded`` / ``watchdog_rung`` report which
-            rung answered.
+            :func:`~repro.core.watchdog.solve_with_watchdog` rather than
+            overrunning.  Its first rung gets the whole budget, so a
+            timeout falls straight back to the greedy construction; the
+            partitioned and serial rungs answer only after the rung
+            above raises.  The result's ``degraded`` /
+            ``watchdog_rung`` report which rung answered.
         chaos_hook: Optional no-arg callable run at the start of each
             bounded watchdog rung (fault injection for tests and chaos
             runs); ignored without ``solve_budget_s``.

@@ -30,8 +30,6 @@ a proof: the stitched-and-balanced objective must stay within
 :data:`PARTITION_PARITY_RTOL` of a monolithic coordinate solve.
 """
 
-import os
-import pickle
 import time
 import warnings
 from collections import deque
@@ -42,7 +40,7 @@ from repro.core.initial import initial_layout
 from repro.core.layout import Layout
 from repro.core.pinning import PinningConstraints
 from repro.core.problem import LayoutProblem, TargetSpec
-from repro.core.solver import SolveResult, solve_coordinate
+from repro.core.solver import SolveResult, _pool_map, solve_coordinate
 from repro.errors import SolverError
 from repro.obs import Instrumentation, ensure_obs
 
@@ -197,18 +195,16 @@ def _solve_partition(subproblem, start_rows, restarts, seed, max_iter,
     optionally warm-starts the sub-solve from the caller's initial
     layout when those rows are valid under the partition budget.
 
-    With ``capture=True`` the sub-solve runs under live instrumentation
-    and returns ``{"result", "spans", "metrics", "pid"}``; the parent
-    stitches the serialized span tree into its own trace, preserving
-    per-round solver spans across the process boundary.
+    Returns ``(result, shipped)``.  With ``capture=True`` the sub-solve
+    records under a ``partition.solve`` worker bundle and ``shipped`` is
+    its payload for :meth:`~repro.obs.Instrumentation.absorb`, which
+    keeps the per-round solver spans across the process boundary;
+    otherwise ``shipped`` is None.
     """
     del max_iter  # coordinate search has no continuous iteration cap
-    obs = Instrumentation.on() if capture else None
-    root = None
-    if obs is not None:
-        root = obs.tracer.start("partition.solve",
-                                n_objects=subproblem.n_objects,
-                                pid=os.getpid())
+    obs = (Instrumentation.worker("partition.solve",
+                                  n_objects=subproblem.n_objects)
+           if capture else None)
     start = None
     if start_rows is not None:
         candidate = subproblem.make_layout(np.asarray(start_rows, dtype=float))
@@ -242,29 +238,8 @@ def _solve_partition(subproblem, start_rows, restarts, seed, max_iter,
         success=best.success,
     )
     if obs is None:
-        return solved
-    obs.tracer.finish(root, objective=solved.objective)
-    return {
-        "result": solved,
-        "spans": obs.tracer.to_records(),
-        "metrics": obs.metrics.to_records(),
-        "pid": os.getpid(),
-    }
-
-
-def _run_partitions_parallel(tasks, workers):
-    """Fan partition solves over a process pool; None = pool unusable."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(int(workers), len(tasks))
-        ) as pool:
-            futures = [pool.submit(_solve_partition, *task) for task in tasks]
-            return [future.result() for future in futures]
-    except (OSError, BrokenProcessPool, pickle.PicklingError):
-        return None
+        return solved, None
+    return solved, obs.ship(objective=solved.objective)
 
 
 def solve_partitioned(problem, initial=None, restarts=1, seed=0,
@@ -327,17 +302,16 @@ def solve_partitioned(problem, initial=None, restarts=1, seed=0,
         tasks.append((sub, start_rows, restarts, seed + 1000 * p, max_iter,
                       capture))
 
-    raw = None
+    solved = None
     if workers is not None and workers > 1 and len(tasks) > 1:
-        raw = _run_partitions_parallel(tasks, workers)
-    if raw is None:
-        raw = [_solve_partition(*task) for task in tasks]
-    results = [entry["result"] if isinstance(entry, dict) else entry
-               for entry in raw]
+        solved = _pool_map(_solve_partition, tasks, workers)
+    if solved is None:
+        solved = [_solve_partition(*task) for task in tasks]
 
     matrix = np.zeros((problem.n_objects, problem.n_targets))
     evaluations = 0
-    for p, (indices, result) in enumerate(zip(partitions, results)):
+    for p, (indices, (result, shipped)) in enumerate(zip(partitions,
+                                                         solved)):
         matrix[indices] = result.layout.matrix
         evaluations += result.evaluations
         span = obs.tracer.add_span(
@@ -345,19 +319,7 @@ def solve_partitioned(problem, initial=None, restarts=1, seed=0,
             n_objects=len(indices), objective=result.objective,
             method=result.method,
         )
-        entry = raw[p]
-        if isinstance(entry, dict):
-            # Stitch the partition worker's span tree under this
-            # partition span (skew-anchored at its backdated end) and
-            # fold the worker's counters into the caller's registry.
-            grafted = obs.tracer.graft_records(
-                entry["spans"], parent=span, end_at=span.end_s
-            )
-            for remote in grafted:
-                if remote.parent_id == span.span_id:
-                    remote.set_tag("pid", entry["pid"])
-            if obs.metrics.enabled:
-                obs.metrics.merge_records(entry["metrics"])
+        obs.absorb(shipped, parent=span, end_at=span.end_s)
         obs.metrics.counter("repro_solver_partitions_total",
                             method=result.method).inc()
     evaluator.evaluations += evaluations

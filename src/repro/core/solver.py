@@ -20,7 +20,6 @@ the Jacobian SciPy would build one variable at a time, so SLSQP takes
 the same path at a fraction of the cost-model lookups.
 """
 
-import os
 import pickle
 import time
 from dataclasses import dataclass, replace
@@ -476,64 +475,47 @@ def _portfolio_attempt(problem, start_layout, method, attempt_seed,
     can pickle it; each worker builds a private evaluator because the
     incremental µ_ij cache cannot be shared across processes.
 
-    With ``capture=True`` the attempt runs under live instrumentation
-    and returns ``{"result", "spans", "metrics", "pid"}`` instead of a
-    bare result, so the parent can stitch the worker's span tree into
-    its own trace (the registry itself still cannot be shared across
-    the process boundary — serialized records can).
+    Returns ``(result, shipped)``.  With ``capture=True`` the attempt
+    records under a ``portfolio.attempt`` worker bundle and ``shipped``
+    is its payload for :meth:`~repro.obs.Instrumentation.absorb`;
+    otherwise ``shipped`` is None.
     """
-    obs = Instrumentation.on() if capture else None
-    root = None
-    if obs is not None:
-        root = obs.tracer.start("portfolio.attempt", method=method,
-                                pid=os.getpid())
+    obs = (Instrumentation.worker("portfolio.attempt", method=method)
+           if capture else None)
+    if method == "slsqp":
+        result = solve_slsqp(problem, start_layout, max_iter=max_iter,
+                             obs=obs)
+    elif method == "anneal":
+        from repro.core.anneal import solve_anneal
 
-    def attempt():
-        if method == "slsqp":
-            return solve_slsqp(problem, start_layout, max_iter=max_iter,
-                               obs=obs)
-        if method == "anneal":
-            from repro.core.anneal import solve_anneal
-
-            return solve_anneal(problem, start_layout, seed=attempt_seed,
-                                obs=obs)
-        return solve_coordinate(problem, start_layout, obs=obs)
-
-    result = attempt()
+        result = solve_anneal(problem, start_layout, seed=attempt_seed,
+                              obs=obs)
+    else:
+        result = solve_coordinate(problem, start_layout, obs=obs)
     if obs is None:
-        return result
-    obs.tracer.finish(root, objective=result.objective,
-                      method=result.method)
-    return {
-        "result": result,
-        "spans": obs.tracer.to_records(),
-        "metrics": obs.metrics.to_records(),
-        "pid": os.getpid(),
-    }
+        return result, None
+    return result, obs.ship(objective=result.objective, method=result.method)
 
 
-def _run_portfolio_parallel(problem, starts, method, seed, max_iter,
-                            workers, capture=False):
-    """Fan the start portfolio out over a process pool.
+def _pool_map(fn, tasks, workers):
+    """``[fn(*task) for task in tasks]`` over a process pool.
 
-    Per-restart seeds are assigned deterministically (``seed + attempt``)
-    in the parent, so the result is identical to the serial loop
-    regardless of worker count.  Returns None when the pool cannot be
-    used (unpicklable problem, restricted OS), letting the caller fall
-    back to the serial path; solver errors inside an attempt propagate.
+    Serves the restart portfolio and the partition solves.  Each task
+    carries its own seed, fixed in the parent (``seed + attempt`` per
+    restart, ``seed + 1000·p`` per partition), so the results are
+    identical to the serial loop regardless of worker count.  Returns
+    None when the pool cannot be used (unpicklable problem, restricted
+    OS, a worker that died), letting the caller fall back to the serial
+    path; errors raised inside a task propagate.
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     try:
         with ProcessPoolExecutor(
-            max_workers=min(int(workers), len(starts))
+            max_workers=min(int(workers), len(tasks))
         ) as pool:
-            futures = [
-                pool.submit(_portfolio_attempt, problem, start, method,
-                            seed + attempt, max_iter, capture)
-                for attempt, start in enumerate(starts)
-            ]
+            futures = [pool.submit(fn, *task) for task in tasks]
             return [future.result() for future in futures]
     except (OSError, BrokenProcessPool, pickle.PicklingError):
         return None
@@ -586,10 +568,11 @@ def solve(problem, initial=None, method="auto", restarts=1, seed=0,
             :data:`PARALLEL_MIN_VARIABLES` layout variables run serially.
         obs: Optional :class:`~repro.obs.Instrumentation`.  Each restart
             is wrapped in a ``solver.restart`` span (parallel-portfolio
-            restarts are recorded from their reported elapsed time,
-            tagged ``parallel``, and carry no convergence series because
-            worker processes cannot share the registry), the polish pass
-            in ``solver.polish``, and the descent methods record
+            restarts are recorded from their reported elapsed time and
+            tagged ``parallel``; with a live tracer each worker's
+            ``portfolio.attempt`` tree is grafted under its span and its
+            metrics merge into ``obs.metrics``), the polish pass in
+            ``solver.polish``, and the descent methods record
             per-restart ``repro_solver_convergence`` trajectories.
 
     Returns:
@@ -665,30 +648,20 @@ def solve(problem, initial=None, method="auto", restarts=1, seed=0,
         and problem.n_objects * problem.n_targets >= PARALLEL_MIN_VARIABLES
     )
     if use_pool:
-        raw = _run_portfolio_parallel(problem, starts, method, seed,
-                                      max_iter, workers,
-                                      capture=obs.tracer.enabled)
+        raw = _pool_map(_portfolio_attempt, [
+            (problem, start, method, seed + attempt, max_iter,
+             obs.tracer.enabled)
+            for attempt, start in enumerate(starts)
+        ], workers)
         if raw is not None:
-            results = [entry["result"] if isinstance(entry, dict)
-                       else entry for entry in raw]
-            evaluator.evaluations += sum(r.evaluations for r in results)
-            for attempt, (entry, result) in enumerate(zip(raw, results)):
+            evaluator.evaluations += sum(r.evaluations for r, _ in raw)
+            for attempt, (result, shipped) in enumerate(raw):
                 span = obs.tracer.add_span(
                     "solver.restart", result.elapsed_s, attempt=attempt,
                     method=result.method, objective=result.objective,
                     parallel=True,
                 )
-                if isinstance(entry, dict):
-                    # Stitch the worker's captured span tree under this
-                    # restart span, anchored at its (backdated) end.
-                    grafted = obs.tracer.graft_records(
-                        entry["spans"], parent=span, end_at=span.end_s
-                    )
-                    for remote in grafted:
-                        if remote.parent_id == span.span_id:
-                            remote.set_tag("pid", entry["pid"])
-                    if obs.metrics.enabled:
-                        obs.metrics.merge_records(entry["metrics"])
+                obs.absorb(shipped, parent=span, end_at=span.end_s)
                 obs.metrics.counter("repro_solver_restarts_total",
                                     method=result.method).inc()
                 if best is None or result.objective < best.objective:

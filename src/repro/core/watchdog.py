@@ -5,18 +5,21 @@ An emergency re-solve (a target just died; see
 optimization: every second spent solving is a second the workload runs
 on a degraded layout — or errors against a dead device.  The watchdog
 runs the solve under a wall-clock budget and, when a rung of the chain
-blows its share of the budget (or raises), falls back to a cheaper one:
+times out or raises, falls back to a cheaper one.  Each bounded rung
+gets whatever budget is left, so the first gets all of it: after a
+timeout less than :data:`MIN_RUNG_BUDGET_S` remains and the chain drops
+straight to greedy, while a rung that raises early leaves the rest of
+the budget to the next:
 
 1. **portfolio** — the full requested solve (multi-start, possibly a
    parallel worker pool);
 2. **partitioned** — a single-start partitioned solve
    (:func:`repro.core.partition.solve_partitioned`): decompose the
    overlap graph, solve the pieces, stitch and balance.  On large
-   instances this finishes in a fraction of the monolithic time, so it
-   is the natural first fallback when the portfolio rung blows its
-   budget.  Skipped when the caller already asked for
-   ``method="partitioned"`` (retrying the same thing is not a
-   fallback);
+   instances this finishes in a fraction of the monolithic time.  It
+   is the first fallback when the portfolio rung raises, and skipped
+   when the caller already asked for ``method="partitioned"``
+   (retrying the same thing is not a fallback);
 3. **serial** — a single-start, single-process solve from the best
    available starting layout, with a tightened iteration cap;
 4. **greedy** — the Section-4.2 greedy construction, evaluated inline.

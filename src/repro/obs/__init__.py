@@ -22,8 +22,14 @@ Typical use::
     print(obs.summary())                   # human table
 
 then ``python -m repro.cli report out.jsonl`` renders the saved trace.
+
+Work done in another process comes home through one round trip: the
+worker records into :meth:`Instrumentation.worker`, returns
+:meth:`Instrumentation.ship`'s ``{"spans", "metrics"}`` payload with its
+result, and the caller takes it in with :meth:`Instrumentation.absorb`.
 """
 
+import os
 import time
 
 from repro.obs.metrics import (
@@ -47,11 +53,13 @@ from repro.obs.trace import (
 class Instrumentation:
     """One tracer + one metrics registry, passed around as ``obs=``."""
 
-    __slots__ = ("tracer", "metrics")
+    __slots__ = ("tracer", "metrics", "root")
 
     def __init__(self, tracer=None, metrics=None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        #: The open root span of a :meth:`worker` bundle, else None.
+        self.root = None
 
     @property
     def enabled(self):
@@ -62,6 +70,40 @@ class Instrumentation:
     def on(cls, clock=time.perf_counter):
         """A live bundle: real tracer (with ``clock``) + real registry."""
         return cls(Tracer(clock=clock), MetricsRegistry())
+
+    @classmethod
+    def worker(cls, name, **tags):
+        """A live bundle for work done in another process, recording
+        under an open root span ``name`` tagged with ``tags`` and this
+        process's pid; :meth:`ship` sends it home."""
+        obs = cls.on()
+        obs.root = obs.tracer.start(name, **tags, pid=os.getpid())
+        return obs
+
+    def ship(self, **tags):
+        """Finish the :meth:`worker` root (adding ``tags``) and return
+        the picklable ``{"spans", "metrics"}`` payload that
+        :meth:`absorb` takes."""
+        self.tracer.finish(self.root, **tags)
+        return {"spans": self.tracer.to_records(),
+                "metrics": self.metrics.to_records()}
+
+    def absorb(self, shipped, parent=None, end_at=None, metrics=None):
+        """Bring a worker's :meth:`ship` payload home.
+
+        Its spans are grafted under ``parent``, skew-anchored at
+        ``end_at`` (see :meth:`Tracer.graft_records`), and its metrics
+        merge into ``metrics`` — this bundle's registry by default (see
+        :meth:`MetricsRegistry.merge_records`).  ``shipped`` is None
+        for a job that ran untraced, and then nothing happens.
+        """
+        if shipped is None:
+            return
+        self.tracer.graft_records(shipped["spans"], parent=parent,
+                                  end_at=end_at)
+        if metrics is None:
+            metrics = self.metrics
+        metrics.merge_records(shipped["metrics"])
 
     def summary(self):
         """Human-readable dump: span tree plus the metrics table."""

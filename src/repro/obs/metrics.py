@@ -246,7 +246,8 @@ class MetricsRegistry:
         """Fold another registry's serialized records into this one.
 
         Used to stitch metrics captured inside a worker process back
-        into the parent's registry: counters and gauge values add,
+        into the parent's registry: counters add, a gauge takes the
+        remote value (last write wins, as in :meth:`from_records`),
         histogram buckets merge bucket-wise (when the bounds match;
         mismatched bounds fall back to re-observing the remote mean,
         which keeps sum/count exact at bucket-resolution cost), and
@@ -261,7 +262,7 @@ class MetricsRegistry:
             if kind == "counter":
                 self.counter(name, **labels).inc(record["value"])
             elif kind == "gauge":
-                self.gauge(name, **labels).inc(record["value"])
+                self.gauge(name, **labels).set(record["value"])
             elif kind == "histogram":
                 histogram = self.histogram(
                     name, buckets=record["buckets"], **labels
@@ -378,6 +379,9 @@ class NullRegistry:
 
     def to_records(self):
         return []
+
+    def merge_records(self, records):
+        return self
 
     def summary(self):
         return "  (metrics disabled)"

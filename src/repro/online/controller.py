@@ -88,9 +88,11 @@ class ControllerConfig:
         migration_chunk / migration_window / migration_pace_s: Copy
             granularity and throttle of the background migrator.
         solve_budget_s: Optional wall-clock watchdog budget for drift
-            re-solves; when set, the solve falls back portfolio →
-            partitioned → serial → greedy instead of overrunning (see
-            :mod:`repro.core.watchdog`).
+            re-solves; when set, the solve runs under the watchdog
+            instead of overrunning (see :mod:`repro.core.watchdog`).
+            Its first rung gets the whole budget, so a timeout falls
+            straight back to greedy; the partitioned and serial rungs
+            answer only after the rung above raises.
         emergency_budget_s: Wall-clock watchdog budget for emergency
             (evacuation) re-solves — these always run under the
             watchdog because the workload is bleeding errors while the

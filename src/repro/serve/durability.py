@@ -8,13 +8,13 @@ layer crash-recoverable with the classic database recipe:
 
 * a **per-tenant write-ahead log** (``<state_dir>/<tenant>/wal.jsonl``)
   records every durable state transition as one fsynced JSON line —
-  tenant create (with the full problem payload), config changes,
-  applied trace-chunk offsets, placement swaps, idempotency records,
-  and delete.  The line format, the fsync and the torn-tail rule are
-  :mod:`repro.jsonl`'s: a torn *final* line (the one partial write a
-  crash can leave behind) is dropped, and the next append first cuts
-  it; any earlier bad line is skipped and counted, never fatal — one
-  bad line must not strand a tenant.
+  tenant create (with the full problem payload), applied trace-chunk
+  offsets, placement swaps, idempotency records, and delete.  The line
+  format, the fsync and the torn-tail rule are :mod:`repro.jsonl`'s: a
+  torn *final* line (the one partial write a crash can leave behind) is
+  dropped, and the next append first cuts it; any earlier bad line is
+  skipped and counted, never fatal — one bad line must not strand a
+  tenant.
 * **periodic compacting snapshots**
   (``<state_dir>/<tenant>/snapshot-<n>.json``, written atomically via
   rename) fold the WAL into one self-contained state document — the
@@ -50,7 +50,7 @@ from repro.errors import ReproError
 VERSION = 1
 
 #: WAL record kinds replay understands.
-KINDS = ("create", "config", "feed", "swap", "idem", "delete")
+KINDS = ("create", "feed", "swap", "idem", "delete")
 
 _SNAPSHOT = re.compile(r"^snapshot-(\d+)\.json$")
 
@@ -271,11 +271,6 @@ def load_tenant_state(directory):
             # Feed/swap records with no create and no snapshot mean the
             # create line itself was lost — nothing to rebuild from.
             continue
-        elif kind == "config":
-            state["controller"] = record.get("controller",
-                                             state.get("controller"))
-            if "weight" in record:
-                state["weight"] = record["weight"]
         elif kind == "feed":
             state["clock_s"] = record.get("clock_s", state.get("clock_s"))
             state["next_check"] = record.get("next_check",

@@ -19,7 +19,6 @@ correct).
 
 import asyncio
 import functools
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -83,32 +82,19 @@ def _clamped_budget(options, remaining):
 # ----------------------------------------------------------------------
 
 def _worker_obs(options, job_name):
-    """Live instrumentation for a traced job, or ``(None, None)``.
+    """The worker bundle of a traced job, or None.
 
     A job is traced when its options carry a ``trace_ctx`` dict (the
     wire form of :class:`~repro.obs.TraceContext`).  The worker then
-    records its whole pipeline under a root span tagged with the trace
-    id and its OS pid, and ships the span tree + counters back with the
-    result so the parent can stitch them into the request trace.
+    records its whole pipeline under a ``job_name`` root span tagged
+    with the trace id and its pid, and ships the span tree and metrics
+    back with the result (``"obs"``) for the scheduler to absorb into
+    the request trace.
     """
-    ctx = options.get("trace_ctx") if isinstance(options, dict) else None
+    ctx = options.get("trace_ctx")
     if not ctx:
-        return None, None
-    obs = Instrumentation.on()
-    root = obs.tracer.start(job_name, trace_id=ctx["trace_id"],
-                            pid=os.getpid())
-    return obs, root
-
-
-def _obs_payload(obs, root, ctx):
-    """Serialize a traced worker's spans + metrics for the result dict."""
-    obs.tracer.finish(root)
-    return {
-        "trace_id": ctx["trace_id"],
-        "pid": os.getpid(),
-        "spans": obs.tracer.to_records(),
-        "metrics": obs.metrics.to_records(),
-    }
+        return None
+    return Instrumentation.worker(job_name, trace_id=ctx["trace_id"])
 
 
 def advise_job(problem, options):
@@ -122,7 +108,7 @@ def advise_job(problem, options):
     """
     started = time.perf_counter()
     remaining = _deadline_guard(options, "advise")
-    obs, root = _worker_obs(options, "worker.advise")
+    obs = _worker_obs(options, "worker.advise")
     result = LayoutAdvisor(
         problem,
         regular=bool(options.get("regular", False)),
@@ -138,7 +124,7 @@ def advise_job(problem, options):
         "solver_time_s": time.perf_counter() - started,
     }
     if obs is not None:
-        out["obs"] = _obs_payload(obs, root, options["trace_ctx"])
+        out["obs"] = obs.ship()
     return out
 
 
@@ -153,7 +139,7 @@ def resolve_job(problem, initial_matrix, options):
 
     started = time.perf_counter()
     remaining = _deadline_guard(options, "resolve")
-    obs, root = _worker_obs(options, "worker.resolve")
+    obs = _worker_obs(options, "worker.resolve")
     initial = problem.make_layout(np.asarray(initial_matrix, dtype=float))
     budget = _clamped_budget(options, remaining)
     method = options.get("method", "auto")
@@ -183,7 +169,7 @@ def resolve_job(problem, initial_matrix, options):
         "solver_time_s": time.perf_counter() - started,
     }
     if obs is not None:
-        out["obs"] = _obs_payload(obs, root, options["trace_ctx"])
+        out["obs"] = obs.ship()
     return out
 
 

@@ -29,6 +29,7 @@ import time
 from collections import deque
 
 from repro.errors import ReproError
+from repro.obs.metrics import NULL_REGISTRY
 from repro.serve.pool import DeadlineError
 
 
@@ -70,13 +71,14 @@ class FairScheduler:
         max_pending: Global bound on queued (not yet dispatched) jobs;
             external submits beyond it raise :class:`AdmissionError`.
         metrics: Optional metrics registry (queue depth gauge, admission
-            and completion counters, queue-wait histogram).
+            and completion counters, queue-wait histogram); traced
+            workers' metrics merge into it too.
     """
 
     def __init__(self, pool, max_pending=64, metrics=None):
         self.pool = pool
         self.max_pending = int(max_pending)
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._queues = {}          # key -> deque[_Job]
         self._weights = {}         # key -> float
         self._vtimes = {}          # key -> virtual time (s / weight)
@@ -192,8 +194,7 @@ class FairScheduler:
             )
         if not preadmitted and self.pending >= self.max_pending:
             self.rejected += 1
-            if self.metrics is not None:
-                self.metrics.counter("repro_serve_rejected_total").inc()
+            self.metrics.counter("repro_serve_rejected_total").inc()
             raise AdmissionError(
                 "admission queue full (%d pending); retry later"
                 % self.pending
@@ -259,10 +260,9 @@ class FairScheduler:
 
     async def _run_job(self, job):
         started = time.perf_counter()
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "repro_serve_queue_wait_seconds"
-            ).observe(started - job.enqueued_s)
+        self.metrics.histogram(
+            "repro_serve_queue_wait_seconds"
+        ).observe(started - job.enqueued_s)
         rtrace = job.rtrace
         dispatch_span = None
         args = job.args
@@ -309,12 +309,13 @@ class FairScheduler:
                 if rung:
                     dispatch_span.set_tag("rung", rung)
                 # Stitch the worker's span tree under the dispatch span
-                # (anchored at result arrival) and fold its counters
+                # (anchored at result arrival) and fold its metrics
                 # into the service registry; the obs payload must not
                 # leak into the HTTP response body.
-                rtrace.graft(result.pop("obs", None), parent=dispatch_span,
-                             end_at=dispatch_span.end_s,
-                             metrics=self.metrics)
+                rtrace.obs.absorb(result.pop("obs", None),
+                                  parent=dispatch_span,
+                                  end_at=dispatch_span.end_s,
+                                  metrics=self.metrics)
         # Charge the worker-measured solver time when the job reports
         # one (it excludes result-transfer overhead); fall back to the
         # dispatch-to-completion wall time.
@@ -329,11 +330,10 @@ class FairScheduler:
         self._jobs_done[key] = self._jobs_done.get(key, 0) + 1
         self.inflight -= 1
         self.completed += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "repro_serve_jobs_total",
-                outcome="error" if error is not None else "ok",
-            ).inc()
+        self.metrics.counter(
+            "repro_serve_jobs_total",
+            outcome="error" if error is not None else "ok",
+        ).inc()
         if not job.future.done():
             if error is not None:
                 job.future.set_exception(error)
@@ -344,13 +344,11 @@ class FairScheduler:
         self._wake.set()
 
     def _gauge(self):
-        if self.metrics is not None:
-            self.metrics.gauge("repro_serve_queue_depth").set(self.pending)
+        self.metrics.gauge("repro_serve_queue_depth").set(self.pending)
 
     def _count_deadline_shed(self, stage):
-        if self.metrics is not None:
-            self.metrics.counter("repro_serve_deadline_shed_total",
-                                 stage=stage).inc()
+        self.metrics.counter("repro_serve_deadline_shed_total",
+                             stage=stage).inc()
 
     # ------------------------------------------------------------------
     # Accounting

@@ -18,10 +18,11 @@ but never concurrently for the *same* request (the handler awaits the
 feed).  All serve-layer spans are started detached with explicit
 parents, so the tracer's parent stack is never shared across threads.
 
-Worker processes stamp spans with their own monotonic clocks;
-:meth:`RequestTrace.graft` anchors each remote tree so its last
-finished span lands at the parent-observed arrival time (see
-:meth:`repro.obs.trace.Tracer.graft_records` for the skew rules).
+A solver-pool job's spans and metrics come home through the request's
+bundle: the scheduler hands the job's ``"obs"`` payload to
+``rtrace.obs.absorb`` (:meth:`repro.obs.Instrumentation.absorb`), which
+anchors the worker's tree, stamped by the worker's own monotonic clock,
+so its last finished span lands at the parent-observed arrival time.
 """
 
 import os
@@ -82,35 +83,6 @@ class RequestTrace:
     def worker_context(self, span):
         """The picklable context a worker acting under ``span`` carries."""
         return self.ctx.child(span).to_dict()
-
-    def graft(self, obs_payload, parent=None, end_at=None, metrics=None):
-        """Stitch a worker's serialized obs payload into this trace.
-
-        ``obs_payload`` is the ``{"trace_id", "pid", "spans", "metrics"}``
-        dict a pool job attaches to its result.  Remote spans land under
-        ``parent`` (default: the root), skew-anchored at ``end_at``;
-        batch roots are tagged with the worker pid.  Worker counters
-        merge into ``metrics`` (e.g. the service registry) when given.
-        """
-        if not obs_payload:
-            return []
-        spans = self.tracer.graft_records(
-            obs_payload.get("spans", ()),
-            parent=parent if parent is not None else self.root,
-            end_at=end_at,
-        )
-        pid = obs_payload.get("pid")
-        if pid is not None:
-            attach_id = (parent if parent is not None
-                         else self.root).span_id
-            for span in spans:
-                if span.parent_id == attach_id:
-                    span.set_tag("pid", pid)
-        if metrics is not None and getattr(metrics, "enabled", False):
-            records = obs_payload.get("metrics")
-            if records:
-                metrics.merge_records(records)
-        return spans
 
     # -- completion -----------------------------------------------------
 

@@ -285,3 +285,24 @@ def test_partition_spans_and_counters_recorded():
     balance = obs.tracer.find("solver.partition_balance")
     assert len(balance) == 1
     assert balance[0].tags["objective"] > 0
+
+
+def test_parallel_partitions_bring_worker_spans_home():
+    """Each pooled partition solve ships its ``partition.solve`` tree
+    back under its ``solver.partition`` span, rooted in another pid."""
+    import os
+
+    problem, _ = block_problem([3, 2, 2])
+    obs = Instrumentation.on()
+    solve_partitioned(problem, restarts=1, seed=0, max_partition_size=3,
+                      workers=2, obs=obs)
+    spans = obs.tracer.find("solver.partition")
+    assert len(spans) >= 2
+    _, children = obs.tracer.tree()
+    for span in spans:
+        (worker,) = children[span.span_id]
+        assert worker.name == "partition.solve"
+        assert worker.tags["pid"] != os.getpid()
+        assert worker.tags["n_objects"] == span.tags["n_objects"]
+        assert worker.tags["objective"] == pytest.approx(
+            span.tags["objective"])

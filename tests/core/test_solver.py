@@ -412,6 +412,31 @@ def test_parallel_portfolio_matches_serial():
     assert np.allclose(pooled.layout.matrix, serial.layout.matrix)
 
 
+def test_parallel_portfolio_brings_worker_spans_home():
+    """With a live tracer every pooled restart ships its worker's span
+    tree and metrics back: the tree lands under its restart span, and
+    the convergence series (coordinate runs no polish, so the caller
+    records none of its own) reach the caller's registry."""
+    import os
+
+    obs = Instrumentation.on()
+    solve(make_wide_problem(), method="coordinate", restarts=2, seed=7,
+          workers=2, obs=obs)
+    restarts = obs.tracer.find("solver.restart")
+    assert restarts and all(s.tags["parallel"] for s in restarts)
+    _, children = obs.tracer.tree()
+    for restart in restarts:
+        (attempt,) = children[restart.span_id]
+        assert attempt.name == "portfolio.attempt"
+        assert attempt.tags["pid"] != os.getpid()
+        assert attempt.tags["method"] == "coordinate"
+        assert "objective" in attempt.tags
+        assert {s.name for s in children[attempt.span_id]} \
+            == {"solver.round"}
+    series = obs.metrics.find("repro_solver_convergence")
+    assert series and all(len(s) for _, s in series)
+
+
 def test_tiny_problem_skips_pool(problem, monkeypatch):
     """Below PARALLEL_MIN_VARIABLES the pool is never engaged."""
     import repro.core.solver as solver_module
@@ -419,7 +444,7 @@ def test_tiny_problem_skips_pool(problem, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("pool used for a tiny problem")
 
-    monkeypatch.setattr(solver_module, "_run_portfolio_parallel", boom)
+    monkeypatch.setattr(solver_module, "_pool_map", boom)
     assert problem.n_objects * problem.n_targets < PARALLEL_MIN_VARIABLES
     result = solve(problem, method="coordinate", restarts=2, workers=4)
     assert result.success
@@ -435,7 +460,7 @@ def test_pool_failure_falls_back_to_serial(monkeypatch):
         calls.append(1)
         return None
 
-    monkeypatch.setattr(solver_module, "_run_portfolio_parallel", broken)
+    monkeypatch.setattr(solver_module, "_pool_map", broken)
     wide = make_wide_problem()
     result = solve(wide, method="coordinate", restarts=2, seed=7, workers=2)
     assert calls, "pool path was not attempted"

@@ -161,6 +161,39 @@ def test_registry_from_records_skips_foreign_records():
     assert rebuilt.get("c").value == 2
 
 
+def test_merge_records_folds_each_kind_by_its_rule():
+    """Worker metrics come home through merge_records: counters add, a
+    gauge takes the last write, histogram buckets add when the bounds
+    match (else the remote mean is re-observed), series points append."""
+    worker = MetricsRegistry()
+    worker.counter("c", k="v").inc(3)
+    worker.gauge("g", stage="see").set(0.25)
+    worker.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
+    other = worker.histogram("m", buckets=(5.0,))
+    other.observe(3.0)
+    other.observe(5.0)
+    worker.series("s", attempt=0).record(objective=2.0)
+
+    parent = MetricsRegistry()
+    parent.series("s", attempt=0).record(objective=3.0)
+    parent.histogram("m", buckets=(1.0, 2.0))
+    records = worker.to_records()
+    parent.merge_records(records)
+    parent.merge_records(records)
+
+    assert parent.get("c", k="v").value == 6
+    assert parent.get("g", stage="see").value == 0.25
+    merged = parent.get("h")
+    assert merged.bucket_counts == [0, 2, 0]
+    assert (merged.sum, merged.count) == (3.0, 2)
+    mismatched = parent.get("m")
+    assert mismatched.bounds == (1.0, 2.0)
+    assert mismatched.bucket_counts == [0, 0, 4]
+    assert (mismatched.sum, mismatched.count) == (16.0, 4)
+    assert parent.get("s", attempt=0).field("objective") == [3.0, 2.0, 2.0]
+    assert NULL_REGISTRY.merge_records(records) is NULL_REGISTRY
+
+
 def test_registry_summary_mentions_every_instrument():
     registry = MetricsRegistry()
     registry.counter("hits", target="d0").inc()

@@ -58,6 +58,27 @@ def test_wal_rejects_unknown_kind(tmp_path):
         wal.append("truncate-table")
 
 
+def test_stray_config_line_is_skipped_like_any_unknown_kind(tmp_path):
+    """Nothing writes a ``config`` record, so replay has no rule for
+    one: it is a bad line, skipped and counted."""
+    wal = TenantWAL(str(tmp_path / "t1"))
+    _create(wal)
+    wal.close()
+    with open(wal.path, "a") as handle:
+        for record in ({"v": 1, "seq": 2, "kind": "config",
+                        "controller": {"patience": 9}, "weight": 5.0},
+                       {"v": 1, "seq": 3, "kind": "feed", "clock_s": 1.0,
+                        "records_fed": 5, "chunks_fed": 1,
+                        "resolves": 0}):
+            handle.write(json.dumps(record) + "\n")
+    records, skipped = read_wal(wal.path)
+    assert [r["kind"] for r in records] == ["create", "feed"]
+    assert skipped == 1
+    state = load_tenant_state(str(tmp_path / "t1"))
+    assert (state["controller"], state["weight"]) == ({}, 1.0)
+    assert (state["records_fed"], state["wal_skipped"]) == (5, 1)
+
+
 def test_torn_final_line_is_dropped_mid_line_is_counted(tmp_path):
     wal = TenantWAL(str(tmp_path / "t1"))
     _create(wal)

@@ -268,6 +268,26 @@ def test_metrics_text_labels_each_tenant_once():
     asyncio.run(scenario())
 
 
+def test_merged_worker_gauges_keep_the_last_solve():
+    """Every solved advise ships its stage gauges home; the service
+    registry reports the last solve's value, not a sum over solves."""
+    async def scenario():
+        service = make_service()
+        await service.start()
+        try:
+            await service.create_tenant(_payload("t1", layout=None))
+            for seed in (1, 2, 3):
+                answer = await service.advise("t1", {"seed": seed})
+            see = answer["max_utilization"]["see"]
+            gauge = service.metrics.get("repro_advise_objective",
+                                        stage="see")
+            assert gauge.value == pytest.approx(see)
+        finally:
+            await service.drain()
+
+    asyncio.run(scenario())
+
+
 def test_tenants_keep_metrics_but_record_no_spans():
     """Nothing reads a served controller's spans, so a tenant keeps
     none however long it is fed; its counters still reach /metrics."""

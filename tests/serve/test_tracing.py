@@ -417,11 +417,10 @@ def test_request_trace_close_is_idempotent():
 
 def test_request_trace_records_round_trip_through_reader(tmp_path):
     rtrace = RequestTrace("advise", tenant="t1")
-    rtrace.graft({"trace_id": rtrace.trace_id, "pid": 4242,
-                  "spans": [{"type": "span", "id": 1,
-                             "name": "worker.advise", "start_s": 0.0,
-                             "end_s": 1.0}],
-                  "metrics": []})
+    rtrace.obs.absorb({"spans": [{"type": "span", "id": 1,
+                                  "name": "worker.advise", "start_s": 0.0,
+                                  "end_s": 1.0, "tags": {"pid": 4242}}],
+                       "metrics": []}, parent=rtrace.root)
     rtrace.close(200)
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(rtrace.to_payload()))
