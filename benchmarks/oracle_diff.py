@@ -13,9 +13,10 @@ oracle.  Regenerate them, then run this from the repository root::
 Every output git reports as changed is compared with its committed
 version after masking its wall-clock fields (:data:`WALL_CLOCK`): fig19's
 timings, the time column of ``solver_methods.txt``, ``decision_latency_s``,
-``elapsed_s``, the matrix report's run time and the ``seconds`` and
-``records_per_s`` fields of ``BENCH_layers.json``.  Any other difference, and
-any new or deleted output, is printed and makes the exit status 1.
+``elapsed_s``, the matrix report's run time and the ``seconds``,
+``records_per_s`` and ``events_per_s`` fields of ``BENCH_layers.json``.  Any
+other difference, and any new or deleted output, is printed and makes the
+exit status 1.
 """
 
 import difflib
@@ -33,7 +34,8 @@ WALL_CLOCK = {
     "solver_methods.txt": [r"(?<=\d) +\d+\.\d+$"],
     "online_drift_events.jsonl": [r'"decision_latency_s": [-+.\deE]+'],
     "scenarios.txt": [r"failed, [\d.]+ s\)"],
-    "BENCH_layers.json": [r'"(?:seconds|records_per_s)": [-+.\deE]+'],
+    "BENCH_layers.json": [
+        r'"(?:seconds|records_per_s|events_per_s)": [-+.\deE]+'],
 }
 
 

@@ -467,13 +467,16 @@ def solve_coordinate(problem, initial, evaluator=None, max_rounds=25,
     )
 
 
-def _portfolio_attempt(problem, start_layout, method, attempt_seed,
-                       max_iter, capture=False):
-    """Run one restart with its own evaluator (worker-process entry).
+def _portfolio_attempt(problem, start_layout, method, attempt,
+                       attempt_seed, max_iter, capture=False):
+    """Run restart ``attempt`` with its own evaluator (worker-process
+    entry).
 
     Module-level so :class:`~concurrent.futures.ProcessPoolExecutor`
     can pickle it; each worker builds a private evaluator because the
-    incremental µ_ij cache cannot be shared across processes.
+    incremental µ_ij cache cannot be shared across processes.  The
+    restart index labels the attempt's convergence series, as it does
+    on the serial path.
 
     Returns ``(result, shipped)``.  With ``capture=True`` the attempt
     records under a ``portfolio.attempt`` worker bundle and ``shipped``
@@ -484,14 +487,15 @@ def _portfolio_attempt(problem, start_layout, method, attempt_seed,
            if capture else None)
     if method == "slsqp":
         result = solve_slsqp(problem, start_layout, max_iter=max_iter,
-                             obs=obs)
+                             obs=obs, attempt=attempt)
     elif method == "anneal":
         from repro.core.anneal import solve_anneal
 
         result = solve_anneal(problem, start_layout, seed=attempt_seed,
-                              obs=obs)
+                              obs=obs, attempt=attempt)
     else:
-        result = solve_coordinate(problem, start_layout, obs=obs)
+        result = solve_coordinate(problem, start_layout, obs=obs,
+                                  attempt=attempt)
     if obs is None:
         return result, None
     return result, obs.ship(objective=result.objective, method=result.method)
@@ -649,7 +653,7 @@ def solve(problem, initial=None, method="auto", restarts=1, seed=0,
     )
     if use_pool:
         raw = _pool_map(_portfolio_attempt, [
-            (problem, start, method, seed + attempt, max_iter,
+            (problem, start, method, attempt, seed + attempt, max_iter,
              obs.tracer.enabled)
             for attempt, start in enumerate(starts)
         ], workers)

@@ -74,15 +74,8 @@ class _QueryRun:
 
     def _start_phase(self):
         phase = self.profile.phases[self._phase_index]
-        streams = []
-        for access in phase.accesses:
-            stream = self._make_stream(access)
-            if stream is not None:
-                streams.append(stream)
+        streams = [self._make_stream(access) for access in phase.accesses]
         self._streams_left = len(streams)
-        if not streams:
-            self._phase_done()
-            return
         for stream in streams:
             stream.start()
 

@@ -74,6 +74,10 @@ class QueryProfile:
     name: str
     phases: Tuple[Phase, ...]
 
+    #: ``(mapping, profile)`` of the last :meth:`renamed` call.  Not a
+    #: field: it takes no part in equality, hashing or ``repr``.
+    _renamed = None
+
     def __post_init__(self):
         if not self.phases:
             raise ValueError("query %s has no phases" % self.name)
@@ -89,8 +93,17 @@ class QueryProfile:
         return seen
 
     def renamed(self, rename):
-        """Profile with object names remapped via ``rename`` mapping."""
-        return QueryProfile(
+        """Profile with object names remapped via ``rename`` mapping.
+
+        The profile keeps its last mapping and result, a one-entry memo:
+        an OLTP sampler that renames every transaction it draws with one
+        mapping builds each renamed profile once.  Profiles are frozen,
+        so the shared result is safe to hand out again.
+        """
+        memo = self._renamed
+        if memo is not None and memo[0] == rename:
+            return memo[1]
+        profile = QueryProfile(
             self.name,
             tuple(
                 Phase(tuple(
@@ -107,6 +120,8 @@ class QueryProfile:
                 for phase in self.phases
             ),
         )
+        object.__setattr__(self, "_renamed", (dict(rename), profile))
+        return profile
 
 
 def phase(*accesses):

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro import units
 from repro.errors import ScenarioError
+from repro.storage.engine import collector_paused
 from repro.storage.request import CompletionRecord
 from repro.workload.spec import ObjectWorkload
 
@@ -431,6 +432,7 @@ class CompiledScenario:
     # Trace synthesis
     # ------------------------------------------------------------------
 
+    @collector_paused()
     def synthesize_trace(self, targets=None):
         """Deterministic synthetic completion trace for the scenario.
 
@@ -442,7 +444,8 @@ class CompiledScenario:
         the targets records are attributed to (default: the spec's
         targets, else a single synthetic ``t0``).  The records are built
         from numpy columns with one stable sort; DESIGN.md §12 lists
-        what keeps them equal to a record-at-a-time build.
+        what keeps them equal to a record-at-a-time build.  The cyclic
+        collector is paused for the build: the records form no cycles.
         """
         if targets is None:
             targets = self.spec.target_names or ["t0"]

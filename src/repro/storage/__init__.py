@@ -11,7 +11,7 @@ placement mapper.
 """
 
 from repro.storage.request import IORequest, CompletionRecord
-from repro.storage.device import Device, DeviceUnit, ReadAheadTracker
+from repro.storage.device import Device, DeviceUnit
 from repro.storage.disk import DiskDrive, DiskParameters, ENTERPRISE_15K, NEARLINE_7200
 from repro.storage.ssd import SolidStateDrive, SsdParameters, SATA_SSD_2010
 from repro.storage.raid import Raid0Group
@@ -31,7 +31,6 @@ __all__ = [
     "CompletionRecord",
     "Device",
     "DeviceUnit",
-    "ReadAheadTracker",
     "DiskDrive",
     "DiskParameters",
     "ENTERPRISE_15K",

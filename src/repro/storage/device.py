@@ -8,72 +8,20 @@ unit via :meth:`Device.route` and runs an independent queue per unit.
 """
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 
 from repro.storage.request import IORequest
-
-
-class ReadAheadTracker:
-    """Tracks sequential streams the way drive prefetch caches do.
-
-    A drive's cache holds a bounded amount of read-ahead data per
-    sequential stream.  Every foreign request that the drive services in
-    between consumes cache segments and head time, so a stream's
-    prefetched data survives only a limited number of intervening
-    requests.  This volume-based eviction is the mechanism behind the
-    paper's Figure 8: with a contention factor of ``depth`` or less
-    (that many competing requests per own request) sequential requests
-    still hit prefetched data, and past it the advantage collapses to
-    (near-)random cost.
-
-    :meth:`access` reports whether a request continues a tracked
-    sequential pattern *and* arrived before its prefetch state was
-    evicted.
-    """
-
-    #: Dead slots are pruned when the table grows past this size.
-    PRUNE_LIMIT = 64
-
-    def __init__(self, depth):
-        if depth < 1:
-            raise ValueError("readahead tracker needs a depth of at least 1")
-        self.depth = int(depth)
-        self._clock = 0
-        self._slots = {}  # stream_id -> (expected_lba, last_access_clock)
-
-    def access(self, stream_id, lba, size):
-        """Record an access and return True if it was a sequential hit."""
-        self._clock += 1
-        slot = self._slots.get(stream_id)
-        hit = (
-            slot is not None
-            and slot[0] == lba
-            and (self._clock - slot[1] - 1) <= self.depth
-        )
-        self._slots[stream_id] = (lba + size, self._clock)
-        if len(self._slots) > self.PRUNE_LIMIT:
-            horizon = self._clock - self.depth - 1
-            self._slots = {
-                sid: state
-                for sid, state in self._slots.items()
-                if state[1] >= horizon
-            }
-        return hit
-
-    def reset(self):
-        self._clock = 0
-        self._slots.clear()
 
 
 class DeviceUnit(ABC):
     """One independent server inside a device.
 
-    Units are stateful: a disk unit remembers its head position and its
-    readahead tracker, so service times depend on the order in which the
-    target dispatches requests.  That order is first come first served:
-    the target keeps one FCFS queue per unit.  The elevator effect the
-    paper observes in Figure 8 (random request costs *decreasing* with
-    contention) is an analytic factor on the seek time in
+    Units are stateful: a disk unit remembers its head position and the
+    streams its read-ahead tracks, so service times depend on the order
+    in which the target dispatches requests.  That order is first come
+    first served: the target keeps one FCFS queue per unit.  The
+    elevator effect the paper observes in Figure 8 (random request costs
+    *decreasing* with contention) is an analytic factor on the seek time
+    in
     :meth:`DiskUnit.service_time <repro.storage.disk.DiskUnit.service_time>`,
     not a reordering of the queue.
     """
@@ -99,7 +47,12 @@ class DeviceUnit(ABC):
 
 
 class Device(ABC):
-    """A storage device presented to a target: units plus an LBA router."""
+    """A storage device presented to a target: units plus an LBA router.
+
+    A device with several units overrides :meth:`route` and
+    :meth:`boundary`.  A target sends every request of a device that
+    overrides neither to unit 0 whole, without calling them.
+    """
 
     def __init__(self, name, capacity, units):
         self.name = name

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro import units
-from repro.storage.device import Device, DeviceUnit, ReadAheadTracker
+from repro.storage.device import Device, DeviceUnit
 
 
 @dataclass(frozen=True)
@@ -78,26 +78,40 @@ NEARLINE_7200 = DiskParameters(
 
 
 class DiskUnit(DeviceUnit):
-    """A single spindle: one request in service at a time."""
+    """A single spindle: one request in service at a time.
+
+    The unit tracks sequential streams the way a drive's prefetch cache
+    does.  The cache holds a bounded amount of read-ahead data per
+    stream, and every foreign request served in between consumes cache
+    segments and head time, so a stream's prefetched data survives only
+    ``readahead_depth`` intervening requests.  A request is a read-ahead
+    hit when it continues its stream's last request and no more than
+    that many foreign requests came between them.  This volume-based
+    eviction is the mechanism behind the paper's Figure 8: with a
+    contention factor of ``readahead_depth`` or less sequential requests
+    still hit prefetched data, and past it the advantage collapses to
+    (near-)random cost.
+    """
 
     parallelism = 1
 
+    #: Dead read-ahead slots are pruned when the table grows past this
+    #: size.
+    PRUNE_LIMIT = 64
+
     def __init__(self, capacity, params):
+        if params.readahead_depth < 1:
+            raise ValueError("readahead tracker needs a depth of at least 1")
         self.capacity = int(capacity)
         self.params = params
         self.head = 0
-        self.readahead = ReadAheadTracker(params.readahead_depth)
+        self._depth = int(params.readahead_depth)
+        self._clock = 0
+        self._slots = {}  # stream_id -> (expected_lba, last_access_clock)
         self._credits = {}
         # Per-request constants of the service-time formula.
         self._seek_span_s = params.max_seek_s - params.min_seek_s
         self._rotation_s = params.rotation_s
-
-    def seek_time(self, distance):
-        """Seek time for a byte-distance move, sqrt-curve interpolation."""
-        if distance <= 0:
-            return 0.0
-        fraction = min(1.0, distance / self.capacity)
-        return self.params.min_seek_s + self._seek_span_s * math.sqrt(fraction)
 
     def transfer_time(self, size):
         return size / self.params.transfer_bps
@@ -111,8 +125,24 @@ class DiskUnit(DeviceUnit):
         # with more concurrent streams than tracker slots, each stream's
         # prefetch state is evicted between its own requests and the
         # sequential advantage collapses (the paper's Figure 8).
-        hit = self.readahead.access(stream_id, lba, size)
-        if hit and lba != self.head:
+        self._clock = clock = self._clock + 1
+        slots = self._slots
+        if stream_id in slots:
+            expected, last = slots[stream_id]
+            hit = expected == lba and clock - last - 1 <= self._depth
+            slots[stream_id] = (lba + size, clock)
+        else:
+            hit = False
+            slots[stream_id] = (lba + size, clock)
+            # Only a new stream grows the table.  A pruned slot could
+            # never hit again: it has seen more than `depth` foreign
+            # requests.
+            if len(slots) > self.PRUNE_LIMIT:
+                horizon = clock - self._depth - 1
+                self._slots = {sid: state for sid, state in slots.items()
+                               if state[1] >= horizon}
+        head = self.head
+        if hit and lba != head:
             # The head has been pulled away by another stream: the
             # request is served from the bounded prefetch buffer, which
             # drains after `prefetch_chunk` bytes and then costs a
@@ -134,9 +164,20 @@ class DiskUnit(DeviceUnit):
             # — the gentle downward slope of the run-count-1 curve in
             # the paper's Figure 8.  Unit queues stay FCFS; this factor
             # is the whole of the elevator in the model.
-            elevator = max(0.6, 1.0 / (1.0 + 0.12 * max(0, active_streams - 1)))
-            positioning = (self.seek_time(abs(lba - self.head)) * elevator
-                           + self._rotation_s)
+            elevator = 1.0 / (1.0 + 0.12 * (
+                active_streams - 1 if active_streams > 1 else 0))
+            if elevator < 0.6:
+                elevator = 0.6
+            # Seek time follows the sqrt curve over the fraction of the
+            # unit crossed, clamped at a full stroke.
+            distance = lba - head if lba > head else head - lba
+            if distance > 0:
+                fraction = distance / self.capacity
+                seek = p.min_seek_s + self._seek_span_s * math.sqrt(
+                    fraction if fraction < 1.0 else 1.0)
+            else:
+                seek = 0.0
+            positioning = seek * elevator + self._rotation_s
             if request.kind == "write":
                 positioning *= p.write_penalty
             cost = p.overhead_s + positioning + size / p.transfer_bps
@@ -145,7 +186,8 @@ class DiskUnit(DeviceUnit):
 
     def reset(self):
         self.head = 0
-        self.readahead.reset()
+        self._clock = 0
+        self._slots = {}
         self._credits = {}
 
 

@@ -31,6 +31,7 @@ class _ObjectPlacement:
         self.stripe_size = stripe_size
         self.stripe_targets = stripe_targets
         self.stripe_addresses = stripe_addresses
+        self.n_stripes = len(stripe_targets)
 
 
 class PlacementMap:
@@ -189,7 +190,7 @@ class PlacementMap:
                 "request at offset %d size %d crosses a stripe boundary"
                 % (offset, size)
             )
-        if stripe >= len(placement.stripe_targets):
+        if stripe >= placement.n_stripes:
             raise LayoutError(
                 "offset %d beyond object %s (%d bytes)"
                 % (offset, obj, placement.size)

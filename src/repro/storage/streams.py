@@ -58,7 +58,13 @@ class SimContext:
 
 
 class _ClosedLoopStream:
-    """Base for streams that keep up to ``window`` requests in flight."""
+    """Base for streams that keep up to ``window`` requests in flight.
+
+    A subclass's :meth:`_issue` submits the next request and sets
+    ``drained`` once no further request can follow, so a completion
+    takes one call to refill the window and none once the stream has
+    nothing left to issue.
+    """
 
     def __init__(self, ctx, obj, kind="read", page=units.DEFAULT_PAGE_SIZE,
                  window=1, think_s=0.0, on_done=None):
@@ -71,11 +77,13 @@ class _ClosedLoopStream:
         self.window = int(window)
         self.think_s = float(think_s)
         self.on_done = on_done
-        self.stream_id = next_stream_id()
+        self.stream_id = next(_stream_ids)
         self.outstanding = 0
         self.completions = 0
         self.errors = 0
         self.finished = False
+        #: True once the stream has no further request to issue.
+        self.drained = False
         self._started = False
 
     def start(self):
@@ -84,23 +92,17 @@ class _ClosedLoopStream:
             raise SimulationError("stream already started")
         self._started = True
         for _ in range(self.window):
-            if not self._issue():
+            if self.drained:
                 break
-        self._check_done()
+            self._issue()
+        if self.drained and not self.outstanding:
+            self._finish()
         return self
 
-    def _next_offset(self):
-        """Return the next logical offset, or None when exhausted."""
-        raise NotImplementedError
-
     def _issue(self):
-        offset = self._next_offset()
-        if offset is None:
-            return False
-        self.outstanding += 1
-        self.ctx.submit(self.obj, offset, self.page, self.kind,
-                        self.stream_id, self._completed)
-        return True
+        """Submit the next request and update ``drained``; called only
+        while the stream is not drained."""
+        raise NotImplementedError
 
     def _completed(self, request):
         self.outstanding -= 1
@@ -113,22 +115,21 @@ class _ClosedLoopStream:
             self.completions += 1
         if self.think_s > 0:
             self.ctx.engine.schedule(self.think_s, self._refill)
-        else:
+        elif not self.drained:
             self._issue()
-            self._check_done()
+        elif not self.outstanding:
+            self._finish()
 
     def _refill(self):
-        self._issue()
-        self._check_done()
+        if not self.drained:
+            self._issue()
+        elif not self.outstanding and not self.finished:
+            self._finish()
 
-    def _check_done(self):
-        if not self.finished and self.outstanding == 0 and self._exhausted():
-            self.finished = True
-            if self.on_done is not None:
-                self.on_done(self)
-
-    def _exhausted(self):
-        raise NotImplementedError
+    def _finish(self):
+        self.finished = True
+        if self.on_done is not None:
+            self.on_done(self)
 
 
 class ScanStream(_ClosedLoopStream):
@@ -156,16 +157,16 @@ class ScanStream(_ClosedLoopStream):
             )
         self._cursor = int(start)
         self._end = int(start + length)
+        self.drained = self._cursor + self.page > self._end
 
-    def _next_offset(self):
-        if self._cursor + self.page > self._end:
-            return None
+    def _issue(self):
+        page = self.page
         offset = self._cursor
-        self._cursor += self.page
-        return offset
-
-    def _exhausted(self):
-        return self._cursor + self.page > self._end
+        self._cursor = cursor = offset + page
+        self.drained = cursor + page > self._end
+        self.outstanding += 1
+        self.ctx.submit(self.obj, offset, page, self.kind, self.stream_id,
+                        self._completed)
 
 
 class RunStream(_ClosedLoopStream):
@@ -189,25 +190,25 @@ class RunStream(_ClosedLoopStream):
         self.rng = rng
         self.run_count = int(run_count)
         self._remaining = int(n_requests)
+        self.drained = self._remaining <= 0
         self._run_left = 0
         self._cursor = 0
         size = ctx.placement.object_size(obj)
         self._n_pages = max(1, size // self.page)
 
-    def _next_offset(self):
-        if self._remaining <= 0:
-            return None
-        if self._run_left <= 0 or self._cursor + self.page > self._n_pages * self.page:
-            self._cursor = int(self.rng.integers(0, self._n_pages)) * self.page
+    def _issue(self):
+        page = self.page
+        if self._run_left <= 0 or self._cursor + page > self._n_pages * page:
+            self._cursor = int(self.rng.integers(0, self._n_pages)) * page
             self._run_left = self.run_count
         offset = self._cursor
-        self._cursor += self.page
+        self._cursor = offset + page
         self._run_left -= 1
         self._remaining -= 1
-        return offset
-
-    def _exhausted(self):
-        return self._remaining <= 0
+        self.drained = self._remaining <= 0
+        self.outstanding += 1
+        self.ctx.submit(self.obj, offset, page, self.kind, self.stream_id,
+                        self._completed)
 
 
 class RandomStream(RunStream):
@@ -234,18 +235,8 @@ class SteadyStream(RunStream):
         super().__init__(ctx, obj, n_requests=1, run_count=run_count,
                          rng=rng, page=page, window=window, kind=kind,
                          think_s=think_s, on_done=None)
-        self._stopped = False
         self._remaining = 1 << 62
 
     def stop(self):
         """Stop issuing new requests; in-flight ones still complete."""
-        self._stopped = True
-        self._remaining = 0
-
-    def _next_offset(self):
-        if self._stopped:
-            return None
-        return super()._next_offset()
-
-    def _exhausted(self):
-        return self._stopped
+        self.drained = True

@@ -11,9 +11,15 @@ the *measured* utilization that the advisor's estimated utilizations
 
 import math
 from collections import deque
+from heapq import heappush
 
 from repro.errors import SimulationError
+from repro.storage.device import Device
 from repro.storage.request import CompletionRecord, IORequest
+
+#: ``CompletionRecord``'s constructor minus its Python-level ``__new__``:
+#: ``_new_record(CompletionRecord, fields)`` builds the same tuple.
+_new_record = tuple.__new__
 
 
 class _UnitServer:
@@ -64,6 +70,12 @@ class StorageTarget:
         self.engine = engine
         self.trace = trace
         self._servers = [_UnitServer(unit) for unit in device.units]
+        # A device that keeps Device's identity routing (a single unit
+        # without internal boundaries) sends every request to unit 0
+        # whole, so its requests skip the route/boundary calls.
+        cls = type(device)
+        self._routed = (cls.route is not Device.route
+                        or cls.boundary is not Device.boundary)
         self.completed = 0
         self.bytes_read = 0
         self.bytes_written = 0
@@ -179,7 +191,13 @@ class StorageTarget:
     # ------------------------------------------------------------------
 
     def submit(self, request):
-        """Submit a request; splits it if it crosses a unit boundary."""
+        """Submit a request; splits it if it crosses a unit boundary.
+
+        A request whose unit has a free slot and an empty queue goes
+        straight into service, seeing ``active_streams = 1 +
+        in_service``: exactly what queueing it and dispatching would
+        compute.  Every other request joins its unit's queue.
+        """
         engine = self.engine
         if engine is None:
             raise SimulationError("target %s is not bound to an engine" % self.name)
@@ -191,15 +209,43 @@ class StorageTarget:
                 "request [%d, %d) outside target %s capacity %d"
                 % (lba, lba + size, self.name, self.capacity)
             )
-        request.submit_time = engine.now
+        request.submit_time = now = engine.now
         if self.failed:
             self._error(request)
             return
-        limit = device.boundary(lba)
-        if size <= limit:
-            self._enqueue(request)
+        if self._routed:
+            limit = device.boundary(lba)
+            if size > limit:
+                self._submit_split(request, limit)
+                return
+            unit_index, request.lba = device.route(lba)
+            server = self._servers[unit_index]
         else:
-            self._submit_split(request, limit)
+            server = self._servers[0]
+        in_service = server.in_service
+        free = in_service < server.unit.parallelism
+        queue = server.queue
+        if queue or not free or self._stalled_until is not None:
+            queue.append(request)
+            streams = server.streams
+            stream_id = request.stream_id
+            if stream_id in streams:
+                streams[stream_id] += 1
+            else:
+                streams[stream_id] = 1
+            if free:
+                self._dispatch(server)
+            return
+        request.start_time = now
+        service = server.unit.service_time(
+            request, 1 + in_service) * self.service_scale
+        server.in_service = in_service + 1
+        server.busy_time += service
+        # engine.schedule(service, self._complete, server, request),
+        # inlined: the same heap entry and sequence number.
+        heappush(engine._heap, (now + service, engine._sequence,
+                                self._complete, (server, request)))
+        engine._sequence += 1
 
     def _submit_split(self, request, first_limit):
         """Split a boundary-crossing request into per-unit fragments.
@@ -238,28 +284,18 @@ class StorageTarget:
 
         for fragment in fragments:
             fragment.on_complete = fragment_done
-            fragment.submit_time = request.submit_time
-            self._enqueue(fragment)
-
-    def _enqueue(self, request):
-        unit_index, request.lba = self.device.route(request.lba)
-        server = self._servers[unit_index]
-        server.queue.append(request)
-        streams = server.streams
-        stream_id = request.stream_id
-        streams[stream_id] = streams.get(stream_id, 0) + 1
-        self._dispatch(server)
+            self.submit(fragment)
 
     def _dispatch(self, server):
         """Start queued requests, first come first served, while the
         unit has free service slots.
 
-        New arrivals always pass through the queue, so a stream that
-        reissues synchronously from its completion callback cannot jump
-        ahead of requests that were already waiting.  A request enters
-        service seeing ``active_streams``: the distinct streams among
-        itself and the requests still queued, plus one per request in
-        service.
+        A request that finds others waiting joins the back of the
+        queue, so a stream that reissues synchronously from its
+        completion callback cannot jump ahead of requests that were
+        already waiting.  A request enters service seeing
+        ``active_streams``: the distinct streams among itself and the
+        requests still queued, plus one per request in service.
         """
         if self._stalled_until is not None or self.failed:
             return
@@ -267,6 +303,7 @@ class StorageTarget:
         streams = server.streams
         unit = server.unit
         engine = self.engine
+        now = engine.now
         while queue and server.in_service < unit.parallelism:
             request = queue.popleft()
             stream_id = request.stream_id
@@ -275,7 +312,7 @@ class StorageTarget:
                 streams[stream_id] = waiting
             else:
                 del streams[stream_id]
-            request.start_time = engine.now
+            request.start_time = now
             service = unit.service_time(
                 request,
                 active_streams=(len(streams) + (stream_id not in streams)
@@ -283,7 +320,9 @@ class StorageTarget:
             ) * self.service_scale
             server.in_service += 1
             server.busy_time += service
-            engine.schedule(service, self._complete, server, request)
+            heappush(engine._heap, (now + service, engine._sequence,
+                                    self._complete, (server, request)))
+            engine._sequence += 1
 
     def _complete(self, server, request):
         server.in_service -= 1
@@ -295,19 +334,22 @@ class StorageTarget:
         else:
             self.bytes_written += request.size
         trace = self.trace
-        if trace is not None or engine.has_completion_observers:
-            record = CompletionRecord(
+        observers = engine._completion_observers
+        if trace is not None or observers:
+            record = _new_record(CompletionRecord, (
                 request.submit_time, now, self.device.name, request.obj,
                 request.stream_id, request.kind, request.lba,
                 request.logical_offset, request.size,
                 now - request.start_time,
-            )
+            ))
             if trace is not None:
                 trace.append(record)
-            engine.notify_completion(record)
+            for callback in observers:
+                callback(record)
         if request.on_complete is not None:
             request.on_complete(request)
-        self._dispatch(server)
+        if server.queue and server.in_service < server.unit.parallelism:
+            self._dispatch(server)
 
     def utilization(self, elapsed):
         """Measured utilization: busy time over available server time."""

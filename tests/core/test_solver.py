@@ -437,6 +437,22 @@ def test_parallel_portfolio_brings_worker_spans_home():
     assert series and all(len(s) for _, s in series)
 
 
+def test_pooled_restarts_record_one_convergence_series_each():
+    """Each pooled restart labels its convergence series with its own
+    restart index, so ``workers=2`` records the series ``workers=1``
+    records, point for point."""
+    def convergence(workers):
+        obs = Instrumentation.on()
+        solve(make_wide_problem(), method="coordinate", restarts=2, seed=7,
+              workers=workers, obs=obs)
+        return {labels["attempt"]: series.points for labels, series
+                in obs.metrics.find("repro_solver_convergence")}
+
+    serial = convergence(workers=1)
+    assert len(serial) == 3  # two greedy restarts and the SEE start
+    assert convergence(workers=2) == serial
+
+
 def test_tiny_problem_skips_pool(problem, monkeypatch):
     """Below PARALLEL_MIN_VARIABLES the pool is never engaged."""
     import repro.core.solver as solver_module
@@ -468,7 +484,7 @@ def test_pool_failure_falls_back_to_serial(monkeypatch):
     assert result.objective == pytest.approx(serial.objective, abs=1e-12)
 
 
-def _suicidal_attempt(problem, start_layout, method, attempt_seed,
+def _suicidal_attempt(problem, start_layout, method, attempt, attempt_seed,
                       max_iter, capture=False):
     """Worker entry that dies the way an OOM-killed worker does.
 

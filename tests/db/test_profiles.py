@@ -60,3 +60,30 @@ def test_renamed_rewrites_every_access():
     access = renamed.phases[0].accesses[1]
     assert access.pages == 3
     assert access.mode == "rand"
+
+
+def test_renamed_memo_returns_a_fresh_build_and_holds_one_entry():
+    def build():
+        return QueryProfile("q", (
+            phase(seq("a", pages=2, kind="write", window=1)),
+            phase(rand("b", fraction=0.25), rand("c", pages=3)),
+        ))
+
+    profile = build()
+    first = {"a": "x.a", "b": "x.b"}
+    renamed = profile.renamed(first)
+    assert renamed == build().renamed(first)
+    # A repeated mapping, even a different dict, gets the same profile.
+    assert profile.renamed(dict(first)) is renamed
+    assert profile._renamed == (first, renamed)
+    # A new mapping replaces the one entry.
+    second = {"a": "y.a"}
+    assert profile.renamed(second) == build().renamed(second)
+    assert profile._renamed[0] == second
+    # The memo copied the mapping: mutating it is a new mapping.
+    second["c"] = "y.c"
+    assert profile.renamed(second).objects == ["y.a", "b", "y.c"]
+    assert profile._renamed[0] == second
+    # It is not a field: equality, hashing and repr ignore it.
+    assert profile == build() and hash(profile) == hash(build())
+    assert repr(profile) == repr(build())

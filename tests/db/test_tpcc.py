@@ -6,6 +6,8 @@ import pytest
 from repro import units
 from repro.db.schema import INDEX, LOG, TABLE
 from repro.db.tpcc import (
+    _MIX_P,
+    _MIX_PROFILES,
     TRANSACTION_MIX,
     new_order_profile,
     order_status_profile,
@@ -66,6 +68,17 @@ def test_mix_weights_sum_to_one():
 def test_new_order_dominates_the_mix():
     weights = {p.name: w for p, w in TRANSACTION_MIX}
     assert weights["NewOrder"] == max(weights.values())
+
+
+def test_sample_transaction_draws_what_rng_choice_draws():
+    """The reference is the draw ``sample_transaction`` used to make."""
+    reference, rng = np.random.default_rng(11), np.random.default_rng(11)
+    expected = [_MIX_PROFILES[int(reference.choice(len(_MIX_PROFILES),
+                                                   p=_MIX_P))]
+                for _ in range(10000)]
+    assert [sample_transaction(rng) for _ in range(10000)] == expected
+    # Both consumed the same random numbers.
+    assert rng.random() == reference.random()
 
 
 def test_sample_transaction_follows_weights():

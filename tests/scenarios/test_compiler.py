@@ -87,6 +87,24 @@ def test_signature_tracks_schedule_change():
     assert base.signature() != changed.signature()
 
 
+def test_trace_is_built_with_the_collector_paused(monkeypatch):
+    import gc
+
+    from repro.scenarios import compiler
+
+    seen = []
+    run_pages = compiler._run_pages
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return run_pages(*args)
+
+    monkeypatch.setattr(compiler, "_run_pages", recording)
+    assert compiled().synthesize_trace()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
 def test_trace_is_sorted_and_attributed():
     trace = compiled().synthesize_trace()
     assert trace, "constant 100 req/s over 20 s produced no records"

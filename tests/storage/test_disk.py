@@ -28,20 +28,27 @@ def test_rotation_is_half_a_revolution():
     assert params.rotation_s == pytest.approx(0.002)
 
 
-def test_seek_time_zero_for_no_move(unit):
-    assert unit.seek_time(0) == 0.0
+def _seek(lba):
+    """Seek time in the service time of a random read at ``lba``, the
+    first request of a fresh unit (head at 0, no elevator gain)."""
+    p = ENTERPRISE_15K
+    cost = DiskDrive("d", units.gib(1)).units[0].service_time(
+        _request(1, lba))
+    return cost - p.overhead_s - p.rotation_s - 8192 / p.transfer_bps
 
 
-def test_seek_time_monotone_in_distance(unit):
-    short = unit.seek_time(units.mib(1))
-    longer = unit.seek_time(units.mib(100))
+def test_seek_time_zero_for_no_move():
+    assert _seek(0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_seek_time_monotone_in_distance():
+    short = _seek(units.mib(1))
+    longer = _seek(units.mib(100))
     assert 0 < short < longer <= ENTERPRISE_15K.max_seek_s
 
 
-def test_seek_time_clamped_at_full_stroke(unit):
-    assert unit.seek_time(units.gib(10)) == pytest.approx(
-        ENTERPRISE_15K.max_seek_s
-    )
+def test_seek_time_clamped_at_full_stroke():
+    assert _seek(units.gib(10)) == pytest.approx(ENTERPRISE_15K.max_seek_s)
 
 
 def test_sequential_requests_much_cheaper_than_random(unit):

@@ -1,9 +1,11 @@
 """Tests for the discrete-event simulation core."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.storage.engine import SimulationEngine
+from repro.storage.engine import SimulationEngine, collector_paused
 
 
 def test_engine_starts_at_time_zero(engine):
@@ -194,3 +196,48 @@ def test_events_processed_counts_every_executed_event(engine):
     engine.run()
     assert engine.events_processed == 4
     assert engine.pending == 0
+
+
+# ----------------------------------------------------------------------
+# The collector pause around bulk builds
+# ----------------------------------------------------------------------
+
+def test_collector_paused_restores_the_collector_after_an_exception():
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        with collector_paused():
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+    assert gc.isenabled()
+
+
+def test_collector_paused_leaves_a_paused_collector_paused():
+    gc.disable()
+    try:
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+        with pytest.raises(RuntimeError):
+            with collector_paused():
+                raise RuntimeError("boom")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_run_pauses_the_collector_while_events_run(engine):
+    seen = []
+    engine.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    engine.run()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_run_restores_the_collector_when_an_event_raises(engine):
+    def fail():
+        raise RuntimeError("event failed")
+
+    engine.schedule(1.0, fail)
+    with pytest.raises(RuntimeError):
+        engine.run()
+    assert gc.isenabled()

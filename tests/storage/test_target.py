@@ -45,6 +45,37 @@ def test_request_completes_with_timestamps(engine, target):
     assert target.completed == 1
 
 
+def test_stalled_idle_target_holds_a_submission_until_the_stall_ends(
+        engine, target):
+    target.stall(0.5)
+    done = []
+    target.submit(_request(0, on_complete=done.append))
+    assert target.in_service == 0 and target.queue_depth == 1
+    engine.run()
+    assert done[0].start_time == 0.5 and done[0].finish_time > 0.5
+
+
+def test_degraded_idle_target_scales_the_service_time(engine, target):
+    nominal_engine = SimulationEngine()
+    nominal = StorageTarget(DiskDrive("d", units.gib(1)), nominal_engine)
+    nominal.submit(_request(units.mib(300)))
+    nominal_engine.run()
+    target.degrade(2.5)
+    target.submit(_request(units.mib(300)))
+    engine.run()
+    assert target.busy_time() == nominal.busy_time() * 2.5
+
+
+def test_failed_target_errors_a_submission_to_an_idle_unit(engine, target):
+    target.fail()
+    done = []
+    target.submit(_request(0, on_complete=done.append))
+    assert target.in_service == 0 and target.queue_depth == 0
+    engine.run()
+    assert done[0].failed and target.errors == 1 and target.completed == 0
+    assert target.trace == []
+
+
 def test_queueing_serializes_disk_requests(engine, target):
     finished = []
     for i in range(3):
